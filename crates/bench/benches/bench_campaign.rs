@@ -9,13 +9,14 @@
 //! * `campaign_oracle/{on,off}` — what the differential oracle costs per
 //!   job (sequential, so the delta is pure oracle work).
 //! * `campaign_vs_harness` — engine bookkeeping overhead: the same jobs
-//!   through `run_campaign` (1 worker) vs a bare `run_scenario_with`
+//!   through `run_campaign` (1 worker) vs a bare `run_scenario_buffered`
 //!   loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtft_campaign::prelude::*;
 use rtft_core::analyzer::Analyzer;
-use rtft_ft::harness::run_scenario_with;
+use rtft_ft::harness::run_scenario_buffered;
+use rtft_sim::engine::SimBuffers;
 use std::hint::black_box;
 
 /// A 500-job grid: 25 UUniFast systems × 2 fault plans × 5 treatments ×
@@ -125,7 +126,8 @@ platform jrate
                     session = Some((job.set_ordinal, Analyzer::new(&job.set)));
                 }
                 let analyzer = &mut session.as_mut().expect("installed").1;
-                if run_scenario_with(&job.scenario(), analyzer).is_ok() {
+                if run_scenario_buffered(&job.scenario(), analyzer, &mut SimBuffers::new()).is_ok()
+                {
                     ran += 1;
                 }
             }

@@ -7,9 +7,11 @@
 //! report is bit-identical no matter how many workers ran or how the
 //! chunks interleaved.
 //!
-//! Each worker keeps the analysis session of the placement it is
-//! currently inside — a uniprocessor [`Analyzer`] for 1-core jobs, a
-//! [`PartitionedAnalyzer`] (allocation included) for multicore ones; the
+//! Every job runs through [`execute`], the one execution path shared
+//! with `rtft run`, trace capture and live streaming. Each worker keeps
+//! the [`Workbench`] of the placement it is currently inside — a
+//! uniprocessor session for 1-core jobs, per-core sessions over the
+//! allocator's partition or one global session for multicore ones; the
 //! expansion guarantees the jobs of one `(set, policy, cores, alloc)`
 //! tuple are contiguous, so a chunked scan re-analyses (and
 //! re-partitions) each placement at most once per worker that touches
@@ -18,16 +20,14 @@
 use crate::oracle::{self, OracleOutcome, OracleSkip};
 use crate::report::{CampaignReport, JobDigest, JobStatus};
 use crate::spec::{CampaignSpec, JobSpec, SpecError};
-use rtft_core::analyzer::Analyzer;
-use rtft_ft::harness::{run_scenario_buffered, run_scenario_with, HarnessError, ScenarioOutcome};
-use rtft_part::alloc::{allocate, AllocPolicy};
-use rtft_part::analyzer::PartitionedAnalyzer;
-use rtft_part::multicore::{
-    run_partitioned, run_partitioned_buffered, MulticoreError, MulticoreOutcome,
-};
+use rtft_core::task::TaskSet;
+use rtft_ft::harness::{run_scenario_streamed, HarnessError, ScenarioOutcome};
+use rtft_global::{run_global_streamed, GlobalOutcome};
+use rtft_part::multicore::{run_partitioned_streamed, MulticoreOutcome};
 use rtft_part::workbench::Workbench;
 use rtft_sim::engine::SimBuffers;
-use rtft_trace::EventKind;
+use rtft_sim::sink::TraceSink;
+use rtft_trace::{EventKind, TraceCapture, TraceLog};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -167,143 +167,234 @@ fn run_job(
     digest_job_buffered(job, oracle, bench, bufs)
 }
 
-/// Run one job against a [`Workbench`] over its
-/// [`system_spec`](JobSpec::system_spec) and reduce it to a digest —
-/// the single job path behind the campaign engine (and the
-/// lowered-to-queries cross-check tests).
-pub fn digest_job(job: &JobSpec, oracle: bool, bench: &mut Workbench) -> JobDigest {
-    digest_job_buffered(job, oracle, bench, &mut SimBuffers::new())
+/// What one job's execution produced: its placement's outcome, with
+/// the differential oracle's verdict.
+#[derive(Debug)]
+pub enum Execution {
+    /// The allocator found no placement (its diagnostics); nothing ran.
+    Unplaceable(String),
+    /// One core: the uniprocessor harness outcome.
+    Uni(ScenarioOutcome, OracleOutcome),
+    /// Partitioned: the per-core outcomes, and each core's oracle
+    /// verdict in the same (core) order.
+    Partitioned(MulticoreOutcome, Vec<OracleOutcome>),
+    /// Global: the migrating engine's outcome.
+    Global(GlobalOutcome, OracleOutcome),
 }
 
-/// [`digest_job`], reusing the worker's simulation buffers: the trace
-/// is digested then recycled, so a chunk of jobs allocates its trace,
-/// wake-queue and outbox storage once instead of once per job.
+impl Execution {
+    /// The job's oracle verdict: any core's violation condemns a
+    /// partitioned job; otherwise its weakest core rules.
+    pub fn oracle(&self) -> OracleOutcome {
+        match self {
+            Execution::Unplaceable(_) => OracleOutcome::NotRun,
+            Execution::Uni(_, o) | Execution::Global(_, o) => o.clone(),
+            Execution::Partitioned(_, per_core) => merge_oracle(per_core.iter().cloned()),
+        }
+    }
+
+    /// Content hash of the run's trace: the flat log's on one core, the
+    /// merged core-tagged hash on several (`0` when nothing ran).
+    pub fn trace_hash(&self) -> u64 {
+        match self {
+            Execution::Unplaceable(_) => 0,
+            Execution::Uni(outcome, _) => outcome.log.content_hash(),
+            Execution::Partitioned(multi, _) => multi.merged_hash(),
+            Execution::Global(global, _) => global.merged_hash,
+        }
+    }
+
+    /// The scenario outcomes of the run with their core (`None` for the
+    /// uniprocessor run and the global run's single merged outcome).
+    pub fn outcomes(&self) -> Vec<(Option<usize>, &ScenarioOutcome)> {
+        match self {
+            Execution::Unplaceable(_) => Vec::new(),
+            Execution::Uni(outcome, _) => vec![(None, outcome)],
+            Execution::Partitioned(multi, _) => multi
+                .cores
+                .iter()
+                .map(|c| (Some(c.core), &c.outcome))
+                .collect(),
+            Execution::Global(global, _) => vec![(None, &global.outcome)],
+        }
+    }
+
+    /// The run's trace as an importable [`TraceCapture`] — flat for
+    /// uniprocessor jobs, core-tagged merged for partitioned and global
+    /// multicore — with the provenance header (`spec-hash`, policy,
+    /// placement, cores, treatment, content hash) that `rtft replay`
+    /// verifies.
+    ///
+    /// # Errors
+    /// The allocator's diagnostics when the job was unplaceable.
+    pub fn into_capture(self, job: &JobSpec) -> Result<TraceCapture, String> {
+        let hash = rtft_core::query::spec_hash(&job.system_spec());
+        let policy = job.policy.label();
+        let kw = crate::spec::treatment_keyword(job.treatment);
+        match self {
+            Execution::Unplaceable(diag) => Err(diag),
+            Execution::Uni(outcome, _) => Ok(TraceCapture::flat(hash, policy, kw, outcome.log)),
+            Execution::Partitioned(multi, _) => Ok(TraceCapture::merged(
+                hash,
+                policy,
+                "partitioned",
+                job.cores,
+                kw,
+                &multi.logs(),
+            )),
+            Execution::Global(global, _) => {
+                let refs: Vec<(usize, &TraceLog)> =
+                    global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
+                Ok(TraceCapture::merged(
+                    hash, policy, "global", job.cores, kw, &refs,
+                ))
+            }
+        }
+    }
+}
+
+/// Execute one job against a [`Workbench`] over its
+/// [`system_spec`](JobSpec::system_spec) — the single execution path
+/// behind campaign digests, `rtft run`, trace captures and `rtft
+/// serve`'s live stream. The workbench's backend picks the engine:
+/// the uniprocessor harness on one core, one harness run per occupied
+/// core over the allocator's partition, or the migrating engine under
+/// global placement. `sink`, when given, sees every recorded event as
+/// it is produced (core-tagged on several cores); with `oracle` the
+/// differential oracle checks the run against the session it ran on.
+///
+/// # Errors
+/// [`HarnessError`] when the base system is not admitted or the
+/// treatment's analysis fails (an unplaceable job is an
+/// [`Execution::Unplaceable`] answer, not an error).
+pub fn execute(
+    job: &JobSpec,
+    bench: &mut Workbench,
+    bufs: &mut SimBuffers,
+    sink: Option<&mut dyn TraceSink>,
+    oracle: bool,
+) -> Result<Execution, HarnessError> {
+    if let Some(diag) = bench.unplaceable() {
+        return Ok(Execution::Unplaceable(diag.to_string()));
+    }
+    let sc = job.scenario();
+    let not_run = || OracleOutcome::NotRun;
+    if let Some(analyzer) = bench.uni_session_mut() {
+        let outcome = run_scenario_streamed(&sc, analyzer, bufs, sink)?;
+        let verdict = oracle.then(|| oracle::check(job, &outcome, analyzer));
+        return Ok(Execution::Uni(outcome, verdict.unwrap_or_else(not_run)));
+    }
+    if let Some(session) = bench.global_mut() {
+        let global = run_global_streamed(&sc, session, bufs, sink)?;
+        let verdict = oracle.then(|| oracle::check(job, &global.outcome, session));
+        return Ok(Execution::Global(global, verdict.unwrap_or_else(not_run)));
+    }
+    let sessions = bench.partitioned_mut().expect("partitioned backend");
+    let multi = run_partitioned_streamed(&sc, sessions, bufs, sink)?;
+    let verdicts = multi
+        .cores
+        .iter()
+        .map(|run| {
+            // Each core is checked as its own one-core job, so a
+            // violation minimizes to a single-core repro spec.
+            let verdict = oracle.then(|| {
+                let cjob = core_job(job, sessions.partition(), run.core);
+                let session = sessions.core_session_mut(run.core).expect("occupied core");
+                oracle::check(&cjob, &run.outcome, session)
+            });
+            verdict.unwrap_or_else(not_run)
+        })
+        .collect();
+    Ok(Execution::Partitioned(multi, verdicts))
+}
+
+/// Run one job against a [`Workbench`] and reduce it to a digest,
+/// reusing the worker's simulation buffers: the trace is digested then
+/// recycled, so a chunk of jobs allocates its trace, wake-queue and
+/// outbox storage once instead of once per job.
 pub fn digest_job_buffered(
     job: &JobSpec,
     oracle: bool,
     bench: &mut Workbench,
     bufs: &mut SimBuffers,
 ) -> JobDigest {
-    if let Some(diag) = bench.unplaceable() {
-        let status = JobStatus::Unplaceable(diag.to_string());
-        return empty_digest(job, status);
-    }
-    if let Some(analyzer) = bench.uni_session_mut() {
-        run_uni_job(job, oracle, analyzer, bufs)
-    } else if let Some(session) = bench.global_mut() {
-        run_global_job(job, oracle, session, bufs)
-    } else {
-        let sessions = bench.partitioned_mut().expect("multicore backend");
-        run_multicore_job(job, oracle, sessions, bufs)
-    }
-}
-
-/// The global job path: one migrating engine over the whole set, the
-/// digest reduced from the merged core-tagged trace. Only systems the
-/// global sufficient test proves ever run (unproven sets surface as
-/// [`JobStatus::InfeasibleBase`]), so the differential oracle's bound
-/// is unconditionally certified for every job that reaches it.
-fn run_global_job(
-    job: &JobSpec,
-    oracle: bool,
-    session: &mut rtft_global::GlobalAnalyzer,
-    bufs: &mut SimBuffers,
-) -> JobDigest {
-    let scenario = job.scenario();
-    match rtft_global::run_global_buffered(&scenario, session, bufs) {
-        Ok(global) => {
-            let oracle_outcome = if oracle {
-                oracle::check_global(job, &global.outcome, session)
-            } else {
-                OracleOutcome::NotRun
-            };
-            let mut digest = digest_outcome(job, &global.outcome, oracle_outcome);
-            // The flat log hash is worker-count-stable already, but the
-            // merged core-tagged hash is what a partitioned run of the
-            // same cell reports — keep the column comparable.
-            digest.trace_hash = global.merged_hash;
-            bufs.recycle_log(global.outcome.log);
-            digest
-        }
-        Err(HarnessError::InfeasibleBase) => empty_digest(job, JobStatus::InfeasibleBase),
+    let execution = match execute(job, bench, bufs, None, oracle) {
+        Ok(execution) => execution,
+        Err(HarnessError::InfeasibleBase) => return empty_digest(job, JobStatus::InfeasibleBase),
         Err(HarnessError::Analysis(e)) => {
-            empty_digest(job, JobStatus::AnalysisError(e.to_string()))
+            return empty_digest(job, JobStatus::AnalysisError(e.to_string()))
         }
-    }
-}
-
-/// The uniprocessor job path — unchanged from the single-core engine, so
-/// `cores = 1` traces stay bit-identical to the pre-multicore pipeline.
-fn run_uni_job(
-    job: &JobSpec,
-    oracle: bool,
-    analyzer: &mut Analyzer,
-    bufs: &mut SimBuffers,
-) -> JobDigest {
-    let scenario = job.scenario();
-    match run_scenario_buffered(&scenario, analyzer, bufs) {
-        Ok(outcome) => {
-            let oracle_outcome = if oracle {
-                oracle::check(job, &outcome, analyzer)
-            } else {
-                OracleOutcome::NotRun
-            };
-            let digest = digest_outcome(job, &outcome, oracle_outcome);
+    };
+    let trace_hash = execution.trace_hash();
+    let mut digest = match execution {
+        Execution::Unplaceable(diag) => return empty_digest(job, JobStatus::Unplaceable(diag)),
+        Execution::Uni(outcome, verdict) => {
+            let digest = digest_outcome(job, &job.set, &outcome, verdict);
             // The trace served its purpose; hand the allocation back.
             bufs.recycle_log(outcome.log);
             digest
         }
-        Err(HarnessError::InfeasibleBase) => empty_digest(job, JobStatus::InfeasibleBase),
-        Err(HarnessError::Analysis(e)) => {
-            empty_digest(job, JobStatus::AnalysisError(e.to_string()))
+        Execution::Global(global, verdict) => {
+            let digest = digest_outcome(job, &job.set, &global.outcome, verdict);
+            bufs.recycle_log(global.outcome.log);
+            digest
         }
-    }
+        Execution::Partitioned(multi, verdicts) => {
+            let partition = bench.partition().expect("partitioned backend");
+            let mut digest = empty_digest(job, JobStatus::Ran);
+            digest.oracle = merge_oracle(verdicts.iter().cloned());
+            for (run, verdict) in multi.cores.iter().zip(verdicts) {
+                let subset = partition.core_set(run.core).expect("occupied core");
+                let part = digest_outcome(job, subset, &run.outcome, verdict);
+                digest.released += part.released;
+                digest.completed += part.completed;
+                digest.missed += part.missed;
+                digest.stopped += part.stopped;
+                digest.faults_flagged += part.faults_flagged;
+                digest.detector_fires += part.detector_fires;
+                digest.failed_tasks.extend(part.failed_tasks);
+                digest.collateral.extend(part.collateral);
+                digest.detector_latencies.extend(part.detector_latencies);
+            }
+            digest.failed_tasks.sort_unstable();
+            digest.collateral.sort_unstable();
+            // Recycle the largest core trace for the next job.
+            if let Some(log) = multi
+                .cores
+                .into_iter()
+                .map(|c| c.outcome.log)
+                .max_by_key(TraceLog::len)
+            {
+                bufs.recycle_log(log);
+            }
+            digest
+        }
+    };
+    // The merged core-tagged hash on several cores, so a global and a
+    // partitioned run of the same cell report comparable columns.
+    digest.trace_hash = trace_hash;
+    digest
 }
 
 /// The `cores`-restriction of a job: the core's subset and fault slice
-/// as a standalone 1-core job spec. The detectors, the digest reduction
-/// and the differential oracle then apply to the core *unchanged* — and
-/// an oracle violation minimizes to a single-core repro spec.
-fn core_job(job: &JobSpec, sessions: &PartitionedAnalyzer, core: usize) -> JobSpec {
-    let partition = sessions.partition();
-    let set = partition.core_set(core).expect("occupied core").clone();
-    let faults = partition.core_faults(&job.faults, core);
+/// as a standalone 1-core job spec. The differential oracle then applies
+/// to the core *unchanged* — and an oracle violation minimizes to a
+/// single-core repro spec.
+fn core_job(job: &JobSpec, partition: &rtft_part::Partition, core: usize) -> JobSpec {
     JobSpec {
-        index: job.index,
-        set_ordinal: job.set_ordinal,
         set_label: rtft_part::multicore::core_label(&job.set_label, core),
-        set: Arc::new(set),
-        policy: job.policy,
+        set: Arc::new(partition.core_set(core).expect("occupied core").clone()),
+        faults: partition.core_faults(&job.faults, core),
         cores: 1,
         placement: rtft_core::query::Placement::Partitioned,
-        alloc: job.alloc,
-        fault_label: job.fault_label.clone(),
-        faults,
-        treatment: job.treatment,
-        platform: job.platform,
-        horizon: job.horizon,
+        ..job.clone()
     }
-}
-
-/// Run the differential oracle on one core's slice of a job (`cjob`
-/// from [`core_job`]) against the core's memoized session — the single
-/// per-core check behind both the campaign path and
-/// [`run_single_partitioned`].
-fn check_core_oracle(
-    cjob: &JobSpec,
-    sessions: &mut PartitionedAnalyzer,
-    run: &rtft_part::multicore::CoreOutcome,
-) -> OracleOutcome {
-    let session = sessions
-        .core_session_mut(run.core)
-        .expect("occupied core has a session");
-    oracle::check(cjob, &run.outcome, session)
 }
 
 /// Fold per-core oracle outcomes into the job's verdict: any violation
 /// condemns the job; otherwise the weakest core rules (a skipped core
 /// means the whole job is uncertified).
-fn merge_oracle(outcomes: Vec<OracleOutcome>) -> OracleOutcome {
+fn merge_oracle(outcomes: impl Iterator<Item = OracleOutcome>) -> OracleOutcome {
     let mut checked = 0;
     let mut skip: Option<OracleSkip> = None;
     let mut violations = Vec::new();
@@ -336,116 +427,46 @@ fn merge_oracle(outcomes: Vec<OracleOutcome>) -> OracleOutcome {
     }
 }
 
-/// The multicore job path: one engine per occupied core over the
-/// memoized partition, each core digested by the unchanged single-core
-/// reduction, the digests folded into one job record whose trace hash is
-/// the merged core-tagged hash.
-fn run_multicore_job(
+/// Reduce one scenario outcome of `job` to a digest; `set` is the task
+/// set the outcome's rank-indexed analysis refers to (a partitioned
+/// core's subset).
+fn digest_outcome(
     job: &JobSpec,
-    oracle: bool,
-    sessions: &mut PartitionedAnalyzer,
-    bufs: &mut SimBuffers,
+    set: &TaskSet,
+    outcome: &ScenarioOutcome,
+    oracle: OracleOutcome,
 ) -> JobDigest {
-    let scenario = job.scenario();
-    let multi: MulticoreOutcome = match run_partitioned_buffered(&scenario, sessions, bufs) {
-        Ok(m) => m,
-        Err(HarnessError::InfeasibleBase) => return empty_digest(job, JobStatus::InfeasibleBase),
-        Err(HarnessError::Analysis(e)) => {
-            return empty_digest(job, JobStatus::AnalysisError(e.to_string()))
-        }
-    };
     let mut digest = empty_digest(job, JobStatus::Ran);
-    digest.trace_hash = multi.merged_hash();
-    let mut oracle_outcomes = Vec::with_capacity(multi.cores.len());
-    for run in &multi.cores {
-        let cjob = core_job(job, sessions, run.core);
-        let core_oracle = if oracle {
-            check_core_oracle(&cjob, sessions, run)
-        } else {
-            OracleOutcome::NotRun
-        };
-        let part = digest_outcome(&cjob, &run.outcome, core_oracle.clone());
-        digest.released += part.released;
-        digest.completed += part.completed;
-        digest.missed += part.missed;
-        digest.stopped += part.stopped;
-        digest.faults_flagged += part.faults_flagged;
-        digest.detector_fires += part.detector_fires;
-        digest.failed_tasks.extend(part.failed_tasks);
-        digest.collateral.extend(part.collateral);
-        digest.detector_latencies.extend(part.detector_latencies);
-        oracle_outcomes.push(core_oracle);
-    }
-    digest.failed_tasks.sort_unstable();
-    digest.collateral.sort_unstable();
-    digest.oracle = merge_oracle(oracle_outcomes);
-    // Recycle the largest core trace for the next job.
-    if let Some(log) = multi
-        .cores
-        .into_iter()
-        .map(|c| c.outcome.log)
-        .max_by_key(rtft_trace::TraceLog::len)
-    {
-        bufs.recycle_log(log);
-    }
-    digest
-}
-
-fn digest_outcome(job: &JobSpec, outcome: &ScenarioOutcome, oracle: OracleOutcome) -> JobDigest {
-    let mut released = 0;
-    let mut completed = 0;
-    let mut missed = 0;
-    let mut stopped = 0;
-    let mut faults_flagged = 0;
     for (_, s) in outcome.stats.summaries() {
-        released += s.released;
-        completed += s.completed;
-        missed += s.missed;
-        stopped += s.stopped;
-        faults_flagged += s.faults;
+        digest.released += s.released;
+        digest.completed += s.completed;
+        digest.missed += s.missed;
+        digest.stopped += s.stopped;
+        digest.faults_flagged += s.faults;
     }
-    let detector_fires = outcome
+    digest.detector_fires = outcome
         .log
         .count(|e| matches!(e.kind, EventKind::DetectorRelease { .. }));
     // Detection latency: how far past `release + threshold` the flag
     // landed (the timer-quantization delay the paper measures).
-    let mut detector_latencies = Vec::new();
     if !outcome.analysis.thresholds.is_empty() {
         for (task, flagged_job, at) in outcome.log.faults() {
             let (Some(rank), Some(release)) = (
-                job.set.rank_of(task),
+                set.rank_of(task),
                 outcome.log.job_release(task, flagged_job),
             ) else {
                 continue;
             };
             let lag = at - (release + outcome.analysis.thresholds[rank]);
             if !lag.is_negative() {
-                detector_latencies.push(lag);
+                digest.detector_latencies.push(lag);
             }
         }
     }
-    JobDigest {
-        index: job.index,
-        set_label: job.set_label.clone(),
-        policy: job.policy.label(),
-        cores: job.cores,
-        alloc: job.alloc.label(),
-        fault_label: job.fault_label.clone(),
-        treatment: job.treatment.name(),
-        platform: job.platform.label(),
-        status: JobStatus::Ran,
-        trace_hash: outcome.log.content_hash(),
-        released,
-        completed,
-        missed,
-        stopped,
-        faults_flagged,
-        detector_fires,
-        failed_tasks: outcome.verdict.failed_tasks(),
-        collateral: outcome.collateral_failures(),
-        detector_latencies,
-        oracle,
-    }
+    digest.failed_tasks = outcome.verdict.failed_tasks();
+    digest.collateral = outcome.collateral_failures();
+    digest.oracle = oracle;
+    digest
 }
 
 fn empty_digest(job: &JobSpec, status: JobStatus) -> JobDigest {
@@ -473,212 +494,18 @@ fn empty_digest(job: &JobSpec, status: JobStatus) -> JobDigest {
     }
 }
 
-/// Run one scenario through the campaign job path — the single-scenario
-/// entry the CLI's `run` command and the harness tests delegate to, so a
-/// lone run and a campaign job are the same code.
-pub fn run_single(
-    sc: &rtft_ft::harness::Scenario,
-    oracle: bool,
-) -> Result<(ScenarioOutcome, OracleOutcome), HarnessError> {
-    let job = single_job_spec(sc, 1, AllocPolicy::FirstFitDecreasing);
-    let mut bench = Workbench::new(job.system_spec());
-    let analyzer = bench.uni_session_mut().expect("1-core spec");
-    let outcome = run_scenario_with(sc, analyzer)?;
-    let oracle_outcome = if oracle {
-        oracle::check(&job, &outcome, analyzer)
-    } else {
-        OracleOutcome::NotRun
-    };
-    Ok((outcome, oracle_outcome))
-}
-
-/// The one-job spec a lone scenario corresponds to in the grid.
-fn single_job_spec(sc: &rtft_ft::harness::Scenario, cores: usize, alloc: AllocPolicy) -> JobSpec {
-    JobSpec {
-        index: 0,
-        set_ordinal: 0,
-        set_label: sc.name.clone(),
-        set: Arc::new(sc.set.clone()),
-        policy: sc.policy,
-        cores,
-        placement: rtft_core::query::Placement::Partitioned,
-        alloc,
-        fault_label: "explicit".to_string(),
-        faults: sc.faults.clone(),
-        treatment: sc.treatment,
-        platform: crate::spec::PlatformSpec {
-            timer: sc.timer_model,
-            stop: sc.stop_model,
-            overheads: sc.overheads,
-        },
-        horizon: sc.horizon,
-    }
-}
-
-/// Run one scenario partitioned over `cores` by `alloc` — the multicore
-/// counterpart of [`run_single`], used by `rtft run --cores`. Returns
-/// the per-core outcomes, the merged per-core oracle verdict, and the
-/// partition the run used (so callers never re-derive the placement).
-///
-/// # Errors
-/// [`MulticoreError`] when the allocator finds no placement or a core
-/// fails its admission / treatment analysis.
-pub fn run_single_partitioned(
-    sc: &rtft_ft::harness::Scenario,
-    cores: usize,
-    alloc: AllocPolicy,
-    oracle: bool,
-) -> Result<(MulticoreOutcome, OracleOutcome, rtft_part::Partition), MulticoreError> {
-    let partition = allocate(&sc.set, cores, sc.policy, alloc)?;
-    let mut sessions = PartitionedAnalyzer::new(partition.clone(), sc.policy);
-    let multi = run_partitioned(sc, &mut sessions)?;
-    let job = single_job_spec(sc, cores, alloc);
-    let mut outcomes = Vec::with_capacity(multi.cores.len());
-    if oracle {
-        for run in &multi.cores {
-            let cjob = core_job(&job, &sessions, run.core);
-            outcomes.push(check_core_oracle(&cjob, &mut sessions, run));
-        }
-    }
-    Ok((multi, merge_oracle(outcomes), partition))
-}
-
-/// Run one scenario globally over `cores` migrating cores — the global
-/// counterpart of [`run_single_partitioned`], used by
-/// `rtft run --placement global`.
-///
-/// # Errors
-/// [`HarnessError::InfeasibleBase`] when the global sufficient test
-/// cannot prove the base system (unproven sets never run — see
-/// [`rtft_global::run_global_with`]).
-pub fn run_single_global(
-    sc: &rtft_ft::harness::Scenario,
-    cores: usize,
-    oracle: bool,
-) -> Result<(rtft_global::GlobalOutcome, OracleOutcome), HarnessError> {
-    let mut session = rtft_global::GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
-    let global = rtft_global::run_global_with(sc, &mut session)?;
-    let mut job = single_job_spec(sc, cores, AllocPolicy::FirstFitDecreasing);
-    job.placement = rtft_core::query::Placement::Global;
-    let oracle_outcome = if oracle {
-        oracle::check_global(&job, &global.outcome, &mut session)
-    } else {
-        OracleOutcome::NotRun
-    };
-    Ok((global, oracle_outcome))
-}
-
-/// Re-run one job deterministically and capture its trace as an
-/// importable [`rtft_trace::TraceCapture`] — flat for uniprocessor
-/// jobs, core-tagged merged for partitioned and global multicore — with
-/// the provenance header (`spec-hash`, policy, placement, cores,
-/// treatment, content hash) that `rtft replay` verifies. Simulation is
-/// deterministic, so capturing the same job twice yields byte-identical
-/// renderings.
+/// Re-run one job deterministically and capture its trace (see
+/// [`Execution::into_capture`]). Simulation is deterministic, so
+/// capturing the same job twice yields byte-identical renderings.
 ///
 /// # Errors
 /// A message when the job cannot run (infeasible base system, no
 /// partition).
-pub fn capture_job(job: &JobSpec) -> Result<rtft_trace::TraceCapture, String> {
-    use rtft_trace::{TraceCapture, TraceLog};
-    let sc = job.scenario();
-    let hash = rtft_core::query::spec_hash(&job.system_spec());
-    let policy = job.policy.label();
-    let kw = crate::spec::treatment_keyword(job.treatment);
-    if job.cores <= 1 {
-        let outcome = rtft_ft::harness::run_scenario(&sc).map_err(|e| e.to_string())?;
-        return Ok(TraceCapture::flat(hash, policy, kw, outcome.log));
-    }
-    match job.placement {
-        rtft_core::query::Placement::Global => {
-            let global = rtft_global::run_global(&sc, job.cores).map_err(|e| e.to_string())?;
-            let refs: Vec<(usize, &TraceLog)> =
-                global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-            Ok(TraceCapture::merged(
-                hash, policy, "global", job.cores, kw, &refs,
-            ))
-        }
-        rtft_core::query::Placement::Partitioned => {
-            let partition =
-                allocate(&sc.set, job.cores, job.policy, job.alloc).map_err(|e| e.to_string())?;
-            let mut sessions = PartitionedAnalyzer::new(partition, job.policy);
-            let multi = run_partitioned(&sc, &mut sessions).map_err(|e| e.to_string())?;
-            Ok(TraceCapture::merged(
-                hash,
-                policy,
-                "partitioned",
-                job.cores,
-                kw,
-                &multi.logs(),
-            ))
-        }
-    }
-}
-
-/// [`capture_job`], additionally feeding every recorded event to `sink`
-/// as the run produces it — the live path behind `rtft serve`'s
-/// streaming trace route. Execution events arrive tagged with their
-/// core (`None` on one core and for global platform-level events); the
-/// returned capture is byte-identical to [`capture_job`]'s.
-///
-/// # Errors
-/// As [`capture_job`].
-pub fn capture_job_streamed(
-    job: &JobSpec,
-    sink: &mut dyn rtft_sim::sink::TraceSink,
-) -> Result<rtft_trace::TraceCapture, String> {
-    use rtft_trace::{TraceCapture, TraceLog};
-    let sc = job.scenario();
-    let hash = rtft_core::query::spec_hash(&job.system_spec());
-    let policy = job.policy.label();
-    let kw = crate::spec::treatment_keyword(job.treatment);
-    if job.cores <= 1 {
-        let mut session = rtft_core::analyzer::AnalyzerBuilder::new(&sc.set)
-            .sched_policy(sc.policy)
-            .build();
-        let outcome = rtft_ft::harness::run_scenario_streamed(
-            &sc,
-            &mut session,
-            &mut SimBuffers::new(),
-            sink,
-        )
-        .map_err(|e| e.to_string())?;
-        return Ok(TraceCapture::flat(hash, policy, kw, outcome.log));
-    }
-    match job.placement {
-        rtft_core::query::Placement::Global => {
-            let mut session =
-                rtft_global::GlobalAnalyzer::new(sc.set.clone(), job.cores, sc.policy);
-            let global =
-                rtft_global::run_global_streamed(&sc, &mut session, &mut SimBuffers::new(), sink)
-                    .map_err(|e| e.to_string())?;
-            let refs: Vec<(usize, &TraceLog)> =
-                global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-            Ok(TraceCapture::merged(
-                hash, policy, "global", job.cores, kw, &refs,
-            ))
-        }
-        rtft_core::query::Placement::Partitioned => {
-            let partition =
-                allocate(&sc.set, job.cores, job.policy, job.alloc).map_err(|e| e.to_string())?;
-            let mut sessions = PartitionedAnalyzer::new(partition, job.policy);
-            let multi = rtft_part::multicore::run_partitioned_streamed(
-                &sc,
-                &mut sessions,
-                &mut SimBuffers::new(),
-                sink,
-            )
-            .map_err(|e| e.to_string())?;
-            Ok(TraceCapture::merged(
-                hash,
-                policy,
-                "partitioned",
-                job.cores,
-                kw,
-                &multi.logs(),
-            ))
-        }
-    }
+pub fn capture_job(job: &JobSpec) -> Result<TraceCapture, String> {
+    let mut bench = Workbench::new(job.system_spec());
+    execute(job, &mut bench, &mut SimBuffers::new(), None, false)
+        .map_err(|e| e.to_string())?
+        .into_capture(job)
 }
 
 /// Re-run the grid job an oracle violation names and capture its trace
@@ -761,11 +588,19 @@ platform jrate
         assert_eq!(report.ran, 0);
     }
 
+    /// Execute `job` on a fresh workbench, oracle on.
+    fn execute_job(job: &JobSpec) -> Result<Execution, HarnessError> {
+        let mut bench = Workbench::new(job.system_spec());
+        execute(job, &mut bench, &mut SimBuffers::new(), None, true)
+    }
+
     #[test]
-    fn run_single_matches_the_harness() {
+    fn execute_uni_matches_the_harness() {
         let spec = parse_spec(PAPER_GRID).unwrap();
         let job = &spec.expand().unwrap()[4];
-        let (outcome, oracle) = run_single(&job.scenario(), true).unwrap();
+        let Execution::Uni(outcome, oracle) = execute_job(job).unwrap() else {
+            panic!("one-core job must run on the uniprocessor engine");
+        };
         let direct = rtft_ft::harness::run_scenario(&job.scenario()).unwrap();
         assert_eq!(outcome.log, direct.log);
         assert!(!oracle.was_checked(), "40 ms is out of allowance");
@@ -882,15 +717,19 @@ platform exact
     }
 
     #[test]
-    fn run_single_global_matches_the_campaign_path() {
+    fn execute_global_matches_the_campaign_path() {
         let spec = parse_spec(PLACEMENT_GRID).unwrap();
         let job = &spec.expand().unwrap()[1]; // the global cell
-        let (global, oracle) = run_single_global(&job.scenario(), job.cores, true).unwrap();
+        let execution = execute_job(job).unwrap();
+        let Execution::Global(global, _) = &execution else {
+            panic!("global cell must run on the migrating engine");
+        };
         assert_eq!(global.cores, 2);
+        let oracle = execution.oracle();
         assert!(oracle.was_checked());
         assert!(oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
-        assert_eq!(report.jobs[1].trace_hash, global.merged_hash);
+        assert_eq!(report.jobs[1].trace_hash, execution.trace_hash());
     }
 
     #[test]
@@ -933,30 +772,36 @@ platform exact
     }
 
     #[test]
-    fn run_single_partitioned_matches_the_campaign_path() {
+    fn execute_partitioned_matches_the_campaign_path() {
         let spec = parse_spec(HEAVY_GRID).unwrap();
         let job = &spec.expand().unwrap()[3]; // cores=2, ffd
-        let (multi, oracle, partition) =
-            run_single_partitioned(&job.scenario(), job.cores, job.alloc, true).unwrap();
-        assert_eq!(partition.cores(), 2);
+        let execution = execute_job(job).unwrap();
+        let Execution::Partitioned(multi, per_core) = &execution else {
+            panic!("two-core job must run partitioned");
+        };
         assert_eq!(multi.cores.len(), 2);
+        assert_eq!(per_core.len(), 2);
+        let oracle = execution.oracle();
         assert!(oracle.was_checked());
         assert!(oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
-        assert_eq!(report.jobs[3].trace_hash, multi.merged_hash());
+        assert_eq!(report.jobs[3].trace_hash, execution.trace_hash());
     }
 
     #[test]
     fn unplaceable_sets_surface_the_allocator_diagnostics() {
-        let err = match run_single_partitioned(
-            &parse_spec(HEAVY_GRID).unwrap().expand().unwrap()[0].scenario(),
-            1,
-            AllocPolicy::FirstFitDecreasing,
-            false,
-        ) {
-            Err(MulticoreError::Alloc(e)) => e,
-            other => panic!("expected an allocation error, got {other:?}"),
+        // Three tasks of U = 0.6 need three cores; on two the allocator
+        // rejects, and execution and capture both answer its diagnostics.
+        let spec = parse_spec(
+            "horizon 500ms\ntask a 9 100ms 100ms 60ms\ntask b 8 100ms 100ms 60ms\n\
+             task c 7 100ms 100ms 60ms\ncores 2\ntreatment detect\n",
+        )
+        .unwrap();
+        let job = &spec.expand().unwrap()[0];
+        let Execution::Unplaceable(diag) = execute_job(job).unwrap() else {
+            panic!("three U = 0.6 tasks cannot be placed on two cores");
         };
-        assert!(err.to_string().contains("cannot place"), "{err}");
+        assert!(diag.contains("cannot place"), "{diag}");
+        assert_eq!(capture_job(job).unwrap_err(), diag);
     }
 }

@@ -53,8 +53,8 @@ pub mod report;
 pub mod spec;
 
 pub use engine::{
-    available_workers, capture_job, capture_job_streamed, capture_violation, digest_job,
-    run_campaign, run_single, run_single_global, run_single_partitioned, RunConfig,
+    available_workers, capture_job, capture_violation, digest_job_buffered, execute, run_campaign,
+    Execution, RunConfig,
 };
 pub use report::{CampaignReport, JobDigest, JobStatus};
 pub use rtft_part::workbench::Workbench;
@@ -65,9 +65,7 @@ pub use spec::{
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::engine::{
-        digest_job, run_campaign, run_single, run_single_global, run_single_partitioned, RunConfig,
-    };
+    pub use crate::engine::{execute, run_campaign, Execution, RunConfig};
     pub use crate::oracle::{OracleOutcome, OracleViolation};
     pub use crate::report::{CampaignReport, JobDigest, JobStatus};
     pub use crate::spec::{

@@ -1,64 +1,40 @@
 //! The differential sim-vs-analysis oracle.
 //!
-//! The analysis (PR 1's [`Analyzer`]) and the simulator model the same
-//! system independently; where their domains overlap they must agree,
-//! and every campaign job can cheaply check that they do:
+//! The analysis and the simulator model the same system independently;
+//! where their domains overlap they must agree, and every campaign job
+//! can cheaply check that they do:
 //!
 //! > If every injected delta stays within the admitted equitable
 //! > allowance `A`, then every *completed* job's observed response time
-//! > is at most the WCRT of the system with all costs inflated by the
+//! > is at most the bound of the system with all costs inflated by the
 //! > largest injected delta.
 //!
-//! Why that is the right bound, for any treatment:
+//! The bound and its applicability come from the shared
+//! [`rtft_ft::resolver::certify`] recipe (see its module docs for why
+//! the bound holds under every treatment): the Δmax-inflated WCRT under
+//! the fixed-priority policies, the relative deadline under EDF, the
+//! inflated Bertogna–Cirinei bound under global placement. The oracle
+//! is **not applicable** when the platform charges scheduling overheads
+//! and **not certifying** when `Δmax > A` (there the detectors, not the
+//! bound, are the specified behaviour: see
+//! `crates/sim/tests/differential_oracle.rs`).
 //!
-//! * every job's execution demand in the simulator is `C_i + δ` with
-//!   `δ ≤ Δmax`, so the fixed point of the inflated recurrence bounds
-//!   every response regardless of the interleaving;
-//! * treatments only ever *stop* jobs — a stopped job has no completion
-//!   (so no observed response) and only removes interference from the
-//!   remaining jobs, keeping the bound conservative;
-//! * `Δmax ≤ A` guarantees the inflated analysis converges (the
-//!   equitable-allowance search admitted exactly that inflation);
-//! * the polled-stop model can never make a job consume more than its
-//!   demand (the engine caps a doomed job's extra runtime at its
-//!   remaining work), so stop mechanics never break the bound.
-//!
-//! The oracle is therefore **not applicable** only when the platform
-//! charges scheduling overheads ([`rtft_sim::overhead::Overheads`]) —
-//! those add demand the
-//! analysis does not model — and **not certifying** when `Δmax > A`
-//! (there the detectors, not the bound, are the specified behaviour:
-//! see `crates/sim/tests/differential_oracle.rs`).
-//!
-//! The certificate follows the job's scheduling policy (the session is
-//! built for it): under the fixed-priority policies the bound is the
-//! (Δmax-inflated) WCRT — with the lower-priority blocking term for
-//! non-preemptive dispatch — while under EDF the demand test certifies
-//! nothing tighter than "done by the deadline", so the bound *is* the
-//! relative deadline: the equitable-allowance search admitted exactly
-//! the Δmax inflation, hence the inflated system is demand-feasible and
-//! every completed job must respond within `D_i`.
+//! Global placement holds the contract one-sided: the global runner
+//! only executes systems the sufficient test *proved*, so an observed
+//! response above the bound is a hard analysis/sim disagreement, never
+//! expected pessimism (pessimism shows up upstream, as jobs that refuse
+//! to run at all).
 
 use crate::spec::JobSpec;
-use rtft_core::analyzer::Analyzer;
-use rtft_core::policy::PolicyKind;
 use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
 use rtft_ft::harness::ScenarioOutcome;
+use rtft_ft::resolver::{certify, BoundsSession};
 use rtft_trace::TraceStats;
 
-/// Why a job was not checked against the WCRT bound.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OracleSkip {
-    /// The platform charges overheads the analysis does not model.
-    Overheads,
-    /// The fault plan exceeds the admitted allowance (`Δmax > A`, or no
-    /// allowance exists) — the bound is not guaranteed there.
-    OutOfAllowance,
-    /// The inflated analysis failed (divergence past the allowance
-    /// search's own precision, or an analysis error).
-    Analysis(String),
-}
+/// Why a job was not checked against the certified bound — the
+/// resolver's [`Uncertified`](rtft_ft::resolver::Uncertified) reason.
+pub use rtft_ft::resolver::Uncertified as OracleSkip;
 
 /// One observed response above the certified bound — an analysis/sim
 /// disagreement, minimized to a replayable spec.
@@ -124,58 +100,26 @@ impl OracleOutcome {
     }
 }
 
-/// Largest positive injected delta of a plan (`ZERO` when fault-free or
-/// all-underrun).
-pub fn max_overrun(plan: &rtft_sim::fault::FaultPlan) -> Duration {
-    plan.entries()
-        .map(|(_, _, d)| d)
-        .filter(|d| d.is_positive())
-        .max()
-        .unwrap_or(Duration::ZERO)
-}
-
 /// Run the oracle on one executed job. `session` must be the analysis
-/// session for the job's task set (its caches are reused and restored).
-pub fn check(job: &JobSpec, outcome: &ScenarioOutcome, session: &mut Analyzer) -> OracleOutcome {
-    if !job.platform.overheads.is_free() {
-        return OracleOutcome::Skipped(OracleSkip::Overheads);
-    }
-    let dmax = max_overrun(&job.faults);
-
-    let bounds = if dmax.is_zero() {
-        // Fault-free (or pure under-runs): the harness's baseline
-        // thresholds bound every response (WCRTs for the FP policies,
-        // deadlines for EDF).
-        outcome.analysis.wcrt.clone()
-    } else {
-        // In-allowance check: Δmax must be admitted by the (policy-
-        // aware) equitable allowance; the bound is then the threshold
-        // vector of the Δmax-inflated system.
-        let allowance = match session.equitable_allowance() {
-            Ok(Some(eq)) => eq.allowance,
-            Ok(None) => return OracleOutcome::Skipped(OracleSkip::OutOfAllowance),
-            Err(e) => return OracleOutcome::Skipped(OracleSkip::Analysis(e.to_string())),
-        };
-        if dmax > allowance {
-            return OracleOutcome::Skipped(OracleSkip::OutOfAllowance);
-        }
-        if job.policy == PolicyKind::Edf {
-            // Deadlines do not move under inflation; admitting Δmax
-            // means the inflated system stays demand-feasible, so the
-            // baseline deadline bounds keep holding.
-            outcome.analysis.wcrt.clone()
-        } else {
-            session.inflate_all(dmax);
-            let inflated = session.policy_thresholds();
-            session.reset_costs();
-            match inflated {
-                Ok(w) => w,
-                Err(e) => return OracleOutcome::Skipped(OracleSkip::Analysis(e.to_string())),
-            }
-        }
+/// session the job ran against — the uniprocessor `Analyzer` (a
+/// partitioned core's, with `job` that core's slice) or the global
+/// session; its caches are reused and restored.
+pub fn check<S: BoundsSession + ?Sized>(
+    job: &JobSpec,
+    outcome: &ScenarioOutcome,
+    session: &mut S,
+) -> OracleOutcome {
+    let cert = certify(
+        session,
+        &outcome.analysis.wcrt,
+        &job.faults,
+        &job.platform.overheads,
+    );
+    let bounds = match cert.bounds {
+        Ok(bounds) => bounds,
+        Err(skip) => return OracleOutcome::Skipped(skip),
     };
-
-    let violations = collect_violations(job, &outcome.stats, &bounds, dmax);
+    let violations = collect_violations(job, &outcome.stats, &bounds, cert.dmax);
     if violations.is_empty() {
         let checked = outcome
             .stats
@@ -188,59 +132,14 @@ pub fn check(job: &JobSpec, outcome: &ScenarioOutcome, session: &mut Analyzer) -
     }
 }
 
-/// Run the oracle on one executed *global* job. `session` must be the
-/// global analysis session for the job's task set and core count.
-///
-/// Same shape as [`check`], with the global sufficient-only twist: the
-/// global runner only ever executes systems the sufficient test
-/// *proved*, so the bound is unconditionally certified for the jobs
-/// that run — an observed response above it is a hard analysis/sim
-/// disagreement, never expected pessimism. (Pessimism shows up
-/// upstream, as jobs that refuse to run at all.) The bounds mirror the
-/// runner's thresholds: the Δmax-inflated Bertogna–Cirinei fixed point
-/// under fixed-priority dispatch, the relative deadline under EDF and
-/// non-preemptive dispatch — wherever `Δmax` is admitted by the global
-/// equitable allowance, the inflated set passes the sufficient test,
-/// so those bounds hold for every completed job.
+/// [`check`] for a job that ran on the global engine; `session` must be
+/// the global analysis session for the job's task set and core count.
 pub fn check_global(
     job: &JobSpec,
     outcome: &ScenarioOutcome,
     session: &mut rtft_global::GlobalAnalyzer,
 ) -> OracleOutcome {
-    if !job.platform.overheads.is_free() {
-        return OracleOutcome::Skipped(OracleSkip::Overheads);
-    }
-    let dmax = max_overrun(&job.faults);
-
-    let bounds = if dmax.is_zero() {
-        // Fault-free (or pure under-runs): the runner's baseline stop
-        // bounds cover every response of the proven system.
-        outcome.analysis.wcrt.clone()
-    } else {
-        let allowance = match session.equitable_allowance() {
-            Some(a) => a,
-            None => return OracleOutcome::Skipped(OracleSkip::OutOfAllowance),
-        };
-        if dmax > allowance {
-            return OracleOutcome::Skipped(OracleSkip::OutOfAllowance);
-        }
-        // Δmax admitted: the Δmax-inflated set passes the sufficient
-        // test, so its stop bounds (inflated BC fixed points under FP,
-        // deadlines otherwise) hold unconditionally.
-        session.stop_thresholds_at(dmax)
-    };
-
-    let violations = collect_violations(job, &outcome.stats, &bounds, dmax);
-    if violations.is_empty() {
-        let checked = outcome
-            .stats
-            .jobs()
-            .filter(|j| j.response().is_some())
-            .count();
-        OracleOutcome::Clean { checked }
-    } else {
-        OracleOutcome::Violated(violations)
-    }
+    check(job, outcome, session)
 }
 
 fn collect_violations(
@@ -277,7 +176,13 @@ fn collect_violations(
 mod tests {
     use super::*;
     use crate::spec::{parse_spec, JobSpec};
-    use rtft_ft::harness::run_scenario_with;
+    use rtft_core::analyzer::Analyzer;
+    use rtft_ft::harness::{run_scenario_buffered, HarnessError, Scenario};
+    use rtft_sim::engine::SimBuffers;
+
+    fn run(sc: &Scenario, session: &mut Analyzer) -> Result<ScenarioOutcome, HarnessError> {
+        run_scenario_buffered(sc, session, &mut SimBuffers::new())
+    }
 
     fn one_job(text: &str) -> JobSpec {
         parse_spec(text)
@@ -293,7 +198,7 @@ mod tests {
     fn paper_fault_free_run_is_clean() {
         let job = one_job("taskgen paper\nfaults none\ntreatment detect\nplatform exact\n");
         let mut session = Analyzer::new(&job.set);
-        let outcome = run_scenario_with(&job.scenario(), &mut session).unwrap();
+        let outcome = run(&job.scenario(), &mut session).unwrap();
         let result = check(&job, &outcome, &mut session);
         assert!(
             matches!(result, OracleOutcome::Clean { checked } if checked > 0),
@@ -309,7 +214,7 @@ mod tests {
              treatment none\nplatform exact\n",
         );
         let mut session = Analyzer::new(&job.set);
-        let outcome = run_scenario_with(&job.scenario(), &mut session).unwrap();
+        let outcome = run(&job.scenario(), &mut session).unwrap();
         let result = check(&job, &outcome, &mut session);
         assert!(result.was_checked(), "{result:?}");
         assert!(result.violations().is_empty(), "{result:?}");
@@ -321,7 +226,7 @@ mod tests {
             "horizon 1300ms\ntaskgen paper\nfaults paper\ntreatment none\nplatform exact\n",
         );
         let mut session = Analyzer::new(&job.set);
-        let outcome = run_scenario_with(&job.scenario(), &mut session).unwrap();
+        let outcome = run(&job.scenario(), &mut session).unwrap();
         // The paper's Δ = 40 ms > A = 11 ms.
         let result = check(&job, &outcome, &mut session);
         assert_eq!(result, OracleOutcome::Skipped(OracleSkip::OutOfAllowance));
@@ -332,7 +237,7 @@ mod tests {
         let job =
             one_job("taskgen paper\nfaults none\ntreatment detect\nplatform exact dispatch=1ms\n");
         let mut session = Analyzer::new(&job.set);
-        let outcome = run_scenario_with(&job.scenario(), &mut session).unwrap();
+        let outcome = run(&job.scenario(), &mut session).unwrap();
         assert_eq!(
             check(&job, &outcome, &mut session),
             OracleOutcome::Skipped(OracleSkip::Overheads)
@@ -347,7 +252,7 @@ mod tests {
         );
         let mut session = Analyzer::new(&job.set);
         let before = session.wcrt_all().unwrap();
-        let outcome = run_scenario_with(&job.scenario(), &mut session).unwrap();
+        let outcome = run(&job.scenario(), &mut session).unwrap();
         let _ = check(&job, &outcome, &mut session);
         assert_eq!(session.wcrt_all().unwrap(), before);
     }

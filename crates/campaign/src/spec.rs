@@ -379,7 +379,26 @@ impl JobSpec {
             (self.horizon - Instant::EPOCH).as_nanos()
         );
         let _ = writeln!(out, "oracle on");
-        self.system_spec().render_lines(&mut out);
+        let mut system = String::new();
+        self.system_spec().render_lines(&mut system);
+        // `task` lines number tasks 1..n in line order (the rank order
+        // the system lines are written in). Pin every id when that
+        // order would renumber the set: generated sets (ids in
+        // generation order, priorities deadline-monotonic) and a
+        // partitioned core's subset (ids not contiguous).
+        let tasks = self.set.tasks();
+        let pin = tasks
+            .iter()
+            .enumerate()
+            .any(|(line, t)| t.id != TaskId(line as u32 + 1));
+        let mut ids = tasks.iter().map(|t| t.id.0);
+        for line in system.lines() {
+            out.push_str(line);
+            if pin && line.starts_with("task ") {
+                let _ = write!(out, " id={}", ids.next().expect("one line per task"));
+            }
+            out.push('\n');
+        }
         let _ = writeln!(out, "treatment {}", treatment_keyword(self.treatment));
         out
     }
@@ -632,7 +651,8 @@ fn parse_duration_range(v: &str) -> Result<(Duration, Duration), String> {
 /// campaign <name>
 /// horizon <duration>
 /// oracle on|off
-/// task <name> <priority> <period> <deadline> <cost> [offset]   # inline set
+/// task <name> <priority> <period> <deadline> <cost> [offset] [id=<n>]
+///                            # inline set, ids 1..n in line order unless pinned
 /// fault <task-name> job <n> overrun|underrun <duration>        # inline plan
 /// taskgen paper
 /// taskgen uunifast n=<int> u=<float> seeds=<a>..<b> [cap=<f>]
@@ -759,10 +779,27 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                 _ => return Err(err("oracle: expected on|off".into())),
             },
             "task" => {
-                // task <name> <priority> <period> <deadline> <cost> [offset]
+                // task <name> <priority> <period> <deadline> <cost> [offset] [id=<n>]
+                // Tasks are numbered 1..n in line order unless `id=` pins
+                // the id (repro artifacts of generated sets and of
+                // partitioned cores, whose ids line order would renumber).
+                let mut words = words;
+                let mut id = next_id;
+                if let Some(v) = words.last().and_then(|w| w.strip_prefix("id=")) {
+                    id = v
+                        .parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| err(format!("bad task id `{v}`")))?;
+                    if inline_tasks.iter().any(|t| t.id == TaskId(id)) {
+                        return Err(err(format!("duplicate task id {id}")));
+                    }
+                    words.pop();
+                }
                 if !(6..=7).contains(&words.len()) {
                     return Err(err(
-                        "expected: task <name> <priority> <period> <deadline> <cost> [offset]"
+                        "expected: task <name> <priority> <period> <deadline> <cost> [offset] \
+                         [id=<n>]"
                             .into(),
                     ));
                 }
@@ -776,14 +813,14 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                 let period = parse_duration(words[3]).map_err(&err)?;
                 let deadline = parse_duration(words[4]).map_err(&err)?;
                 let cost = parse_duration(words[5]).map_err(&err)?;
-                let mut b = TaskBuilder::new(next_id, priority, period, cost)
+                let mut b = TaskBuilder::new(id, priority, period, cost)
                     .name(name.clone())
                     .deadline(deadline);
                 if words.len() == 7 {
                     b = b.offset(parse_duration(words[6]).map_err(&err)?);
                 }
-                inline_names.insert(name, TaskId(next_id));
-                next_id += 1;
+                inline_names.insert(name, TaskId(id));
+                next_id = next_id.max(id + 1);
                 inline_tasks.push(b.build());
             }
             "fault" => {
@@ -1073,6 +1110,38 @@ platform jrate poll=1ms
         assert_eq!(back_jobs[0].policy, jobs[0].policy);
         assert_eq!(back_jobs[0].cores, jobs[0].cores);
         assert_eq!(back_jobs[0].alloc, jobs[0].alloc);
+    }
+
+    #[test]
+    fn repro_specs_keep_non_contiguous_task_ids() {
+        // A partitioned core's subset: ids 2 and 5, listed in priority
+        // order 5 before 2. Line order alone would renumber them 1, 2.
+        let job = parse_spec(
+            "horizon 500ms\ntask a 20 100ms 100ms 10ms id=5\ntask b 10 200ms 200ms 20ms id=2\n\
+             fault b job 1 overrun 5ms\ntreatment detect\n",
+        )
+        .unwrap()
+        .expand()
+        .unwrap()
+        .remove(0);
+        let ids = |job: &JobSpec| job.set.tasks().iter().map(|t| t.id).collect::<Vec<_>>();
+        assert_eq!(ids(&job), vec![TaskId(5), TaskId(2)]);
+        assert_eq!(job.faults.delta(TaskId(2), 1), Duration::millis(5));
+        let repro = job.repro_spec();
+        assert!(repro.contains("id=5") && repro.contains("id=2"), "{repro}");
+        let back = parse_spec(&repro).unwrap().expand().unwrap().remove(0);
+        assert_eq!(ids(&back), ids(&job));
+        assert_eq!(*back.set, *job.set);
+        assert_eq!(back.faults, job.faults);
+        // Sets already numbered in priority order keep their old bytes.
+        let paper = parse_spec("taskgen paper\n")
+            .unwrap()
+            .expand()
+            .unwrap()
+            .remove(0);
+        assert!(!paper.repro_spec().contains("id="));
+        assert!(parse_spec("task a 20 100ms 100ms 10ms id=0\n").is_err());
+        assert!(parse_spec("task a 2 9ms 9ms 1ms id=3\ntask b 1 9ms 9ms 1ms id=3\n").is_err());
     }
 
     #[test]

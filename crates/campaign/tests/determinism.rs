@@ -3,6 +3,7 @@
 //! regardless of worker count or chunking.
 
 use rtft_campaign::prelude::*;
+use rtft_sim::engine::SimBuffers;
 
 const SPEC: &str = "\
 campaign determinism
@@ -291,7 +292,8 @@ fn jobs_lowered_to_queries_match_engine_digests_at_1_and_4_workers() {
         // A cold workbench per job: no session sharing with neighbours,
         // so equality proves the memoized engine path changes nothing.
         let mut bench = Workbench::new(job.system_spec());
-        let lowered = digest_job(job, true, &mut bench);
+        let lowered =
+            rtft_campaign::digest_job_buffered(job, true, &mut bench, &mut SimBuffers::new());
         assert_eq!(&lowered, engine_digest, "job {}", job.index);
     }
 }

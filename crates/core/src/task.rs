@@ -4,7 +4,9 @@
 //! cost `C_i`, relative deadline `D_i`, period `T_i`, priority `P_i` —
 //! plus a release offset (phase) used to reproduce the evaluation scenarios
 //! (the paper's figures show τ3 activating inside the observation window,
-//! which requires a non-zero phase; see DESIGN.md §2).
+//! which requires a non-zero phase; the paper states none, so the
+//! reproduction phases τ3 by 1000 ms — `rtft_taskgen::paper`'s
+//! `table2_figure_window`).
 
 use crate::error::ModelError;
 use crate::time::Duration;

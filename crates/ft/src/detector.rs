@@ -9,6 +9,7 @@
 //! necessarily occurred — a temporal fault — and the configured treatment
 //! reacts (log, stop now, or grant allowance and arm a stop point).
 
+use crate::harness::AnalysisSummary;
 use crate::manager::AllowanceManager;
 use crate::treatment::Treatment;
 use rtft_core::task::TaskSet;
@@ -79,6 +80,21 @@ impl FtSupervisor {
             grants: BTreeMap::new(),
             detected: Vec::new(),
         }
+    }
+
+    /// The supervisor a run of `treatment` installs, configured with the
+    /// resolver's `analysis` (see [`crate::resolver::prescribe`]):
+    /// `None` for [`Treatment::NoDetection`], an allowance ledger over
+    /// the maxima `M_i` for the system-allowance treatment.
+    pub fn for_run(treatment: Treatment, analysis: &AnalysisSummary) -> Option<Self> {
+        treatment.has_detection().then(|| {
+            FtSupervisor::new(
+                treatment,
+                analysis.thresholds.clone(),
+                analysis.wcrt.clone(),
+                analysis.system_allowance.clone().map(AllowanceManager::new),
+            )
+        })
     }
 
     /// The periodic detector timers this supervisor needs, as

@@ -11,7 +11,7 @@
 //! epoch runs the *current* set on the simulator with freshly derived
 //! detector parameters, exactly what an online re-admission would install.
 
-use crate::harness::{run_scenario_with, HarnessError, Scenario, ScenarioOutcome};
+use crate::harness::{run_scenario_buffered, HarnessError, Scenario, ScenarioOutcome};
 use crate::treatment::Treatment;
 use rtft_core::analyzer::{Analyzer, AnalyzerBuilder};
 use rtft_core::error::ModelError;
@@ -19,6 +19,7 @@ use rtft_core::feasibility::{Admission, AdmissionError};
 use rtft_core::policy::PolicyKind;
 use rtft_core::task::{TaskId, TaskSet, TaskSpec};
 use rtft_core::time::{Duration, Instant};
+use rtft_sim::engine::SimBuffers;
 use rtft_sim::fault::FaultPlan;
 use rtft_sim::timer::TimerModel;
 
@@ -203,7 +204,10 @@ pub fn run_epochs(
         // fault plan reuses every cached number, and add/remove epochs
         // reuse what the change could not affect.
         let session = system.session().ok_or(DynamicError::EmptySystem)?;
-        outcomes.push(run_scenario_with(&sc, session).map_err(DynamicError::Harness)?);
+        outcomes.push(
+            run_scenario_buffered(&sc, session, &mut SimBuffers::new())
+                .map_err(DynamicError::Harness)?,
+        );
     }
     Ok(outcomes)
 }

@@ -2,22 +2,23 @@
 //!
 //! This is the top of the reproduction stack: given a system and a
 //! treatment it (1) runs the admission analysis, (2) derives the detector
-//! thresholds the treatment prescribes, (3) executes the system on the
+//! thresholds the treatment prescribes — both through the shared
+//! [`crate::resolver`] recipe — (3) executes the system on the
 //! simulator with the configured platform models, and (4) reduces the
 //! trace to verdicts — everything needed to regenerate the paper's
 //! Figures 3–7 and the ablation sweeps.
 //!
-//! [`run_scenario_with`] is the single execution path shared by every
-//! consumer: the `rtft-campaign` batch engine runs each grid job through
-//! it (one memoized [`Analyzer`] session per set instance), a lone
-//! scenario is just a one-job campaign (`rtft_campaign::run_single`),
-//! and a partitioned multiprocessor run (`rtft-part`) is one call per
-//! core — the core's subset, its fault slice, its own session — so a
-//! paper figure, a million-job sweep and a multicore run all exercise
-//! identical code.
+//! [`run_scenario_streamed`] is the uniprocessor engine's one runner
+//! ([`run_scenario`] and [`run_scenario_buffered`] are its defaults).
+//! The `rtft-campaign` executor runs every one-core grid job, lone
+//! `rtft run` invocation, trace capture and live stream through it (one
+//! memoized [`Analyzer`] session per set instance), and a partitioned
+//! multiprocessor run (`rtft-part`) is one call per core — the core's
+//! subset, its fault slice, its own session — so a paper figure, a
+//! million-job sweep and a multicore run all exercise identical code.
 
 use crate::detector::FtSupervisor;
-use crate::manager::AllowanceManager;
+use crate::resolver::prescribe;
 use crate::treatment::Treatment;
 use crate::verdict::Verdict;
 use rtft_core::analyzer::{Analyzer, AnalyzerBuilder};
@@ -30,7 +31,7 @@ use rtft_sim::fault::FaultPlan;
 use rtft_sim::overhead::Overheads;
 use rtft_sim::sink::TraceSink;
 use rtft_sim::stop::StopModel;
-use rtft_sim::supervisor::NullSupervisor;
+use rtft_sim::supervisor::{NullSupervisor, Supervisor};
 use rtft_sim::timer::TimerModel;
 use rtft_trace::chart::{glyph, ChartConfig};
 use rtft_trace::{TraceLog, TraceStats};
@@ -112,6 +113,15 @@ impl Scenario {
         self.overheads = o;
         self
     }
+
+    /// The simulator configuration of this scenario's platform.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig::until(self.horizon)
+            .with_timer_model(self.timer_model)
+            .with_stop_model(self.stop_model)
+            .with_overheads(self.overheads)
+            .with_policy(self.policy)
+    }
 }
 
 /// Static analysis attached to a run.
@@ -147,6 +157,29 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// Reduce the trace of a run of `sc` (parameterized by `analysis`)
+    /// to statistics and verdicts — the tail every engine shares.
+    pub fn reduce(sc: &Scenario, log: TraceLog, analysis: AnalysisSummary) -> Self {
+        let stats = TraceStats::from_log(&log, Some(&sc.set));
+        let verdict = Verdict::new(&sc.set, &stats);
+        let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc
+            .faults
+            .entries()
+            .filter(|(_, _, d)| d.is_positive())
+            .map(|(t, _, _)| t)
+            .collect();
+        injected_faulty.sort_unstable();
+        injected_faulty.dedup();
+        ScenarioOutcome {
+            name: sc.name.clone(),
+            log,
+            stats,
+            verdict,
+            analysis,
+            injected_faulty,
+        }
+    }
+
     /// Non-faulty tasks that failed anyway — the damage the treatments
     /// exist to prevent (judged against the injected fault plan).
     pub fn collateral_failures(&self) -> Vec<rtft_core::task::TaskId> {
@@ -213,24 +246,13 @@ pub fn run_scenario(sc: &Scenario) -> Result<ScenarioOutcome, HarnessError> {
     let mut session = AnalyzerBuilder::new(&sc.set)
         .sched_policy(sc.policy)
         .build();
-    run_scenario_with(sc, &mut session)
+    run_scenario_buffered(sc, &mut session, &mut SimBuffers::new())
 }
 
 /// Run a scenario end to end against a caller-held [`Analyzer`] session
 /// over the same task set — the memoized WCRTs and allowances are then
-/// shared across scenarios (and epochs, see [`crate::dynamic`]).
-///
-/// # Panics
-/// Panics if `session` analyses a different task set, or was built for
-/// a different scheduling policy, than the scenario.
-pub fn run_scenario_with(
-    sc: &Scenario,
-    session: &mut Analyzer,
-) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_buffered(sc, session, &mut SimBuffers::new())
-}
-
-/// [`run_scenario_with`], reusing caller-held simulation storage.
+/// shared across scenarios (and epochs, see [`crate::dynamic`]) — reusing
+/// caller-held simulation storage.
 ///
 /// A batch driver holds one [`SimBuffers`] per worker and passes it to
 /// every run: the wake queue and occurrence outbox then keep their
@@ -246,13 +268,14 @@ pub fn run_scenario_buffered(
     session: &mut Analyzer,
     bufs: &mut SimBuffers,
 ) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_sunk(sc, session, bufs, None)
+    run_scenario_streamed(sc, session, bufs, None)
 }
 
 /// [`run_scenario_buffered`], additionally feeding every recorded event
-/// to `sink` as the simulation produces it (the live-streaming path of
-/// `rtft serve`; see [`rtft_sim::sink::TraceSink`]). The outcome — and
-/// its trace — is byte-identical to the unsunk run.
+/// to `sink`, when one is given, as the simulation produces it (the
+/// live-streaming path of `rtft serve`; see
+/// [`rtft_sim::sink::TraceSink`]). The outcome — and its trace — is
+/// byte-identical to the unsunk run.
 ///
 /// # Panics
 /// Panics if `session` analyses a different task set, or was built for
@@ -261,116 +284,35 @@ pub fn run_scenario_streamed(
     sc: &Scenario,
     session: &mut Analyzer,
     bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_scenario_sunk(
-    sc: &Scenario,
-    session: &mut Analyzer,
-    bufs: &mut SimBuffers,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<ScenarioOutcome, HarnessError> {
     assert_eq!(
         session.task_set(),
         &sc.set,
-        "run_scenario_with: session and scenario disagree on the task set"
+        "run_scenario: session and scenario disagree on the task set"
     );
     assert_eq!(
         session.sched_policy(),
         sc.policy,
-        "run_scenario_with: session and scenario disagree on the policy"
+        "run_scenario: session and scenario disagree on the policy"
     );
-    // Admission gate under the scenario's policy (exact WCRT test for
-    // FP, WCRT-with-blocking for non-preemptive FP, processor-demand
-    // test for EDF), then the per-task detection thresholds: the WCRTs
-    // for the fixed-priority policies, the deadlines for EDF.
-    match session.is_feasible() {
-        Ok(true) => {}
-        Ok(false) => return Err(HarnessError::InfeasibleBase),
-        Err(e) => return Err(e.into()),
-    }
-    let wcrt = match session.policy_thresholds() {
-        Ok(w) => w,
-        Err(AnalysisError::Divergent { .. }) => return Err(HarnessError::InfeasibleBase),
-        Err(e) => return Err(e.into()),
-    };
-
-    let mut thresholds = Vec::new();
-    let mut equitable = None;
-    let mut manager = None;
-    let mut system_max = None;
-
-    match sc.treatment {
-        Treatment::NoDetection => {}
-        Treatment::DetectOnly | Treatment::ImmediateStop { .. } => {
-            thresholds = wcrt.clone();
-        }
-        Treatment::EquitableAllowance { .. } => {
-            let eq = session
-                .equitable_allowance()?
-                .ok_or(HarnessError::InfeasibleBase)?;
-            equitable = Some(eq.allowance);
-            thresholds = eq.inflated_wcrt;
-        }
-        Treatment::SystemAllowance { policy, .. } => {
-            let sa = session
-                .system_allowance_with(policy)?
-                .ok_or(HarnessError::InfeasibleBase)?;
-            thresholds = wcrt.clone();
-            manager = Some(AllowanceManager::new(sa.max_overrun.clone()));
-            system_max = Some(sa.max_overrun);
-        }
-    }
-
-    let config = SimConfig::until(sc.horizon)
-        .with_timer_model(sc.timer_model)
-        .with_stop_model(sc.stop_model)
-        .with_overheads(sc.overheads)
-        .with_policy(sc.policy);
-    let mut sim = Simulator::new_in(sc.set.clone(), config, bufs).with_faults(sc.faults.clone());
-
-    let log = if sc.treatment.has_detection() {
-        let mut sup = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
+    let analysis = prescribe(session, sc.treatment)?;
+    let mut sim =
+        Simulator::new_in(sc.set.clone(), sc.sim_config(), bufs).with_faults(sc.faults.clone());
+    let mut detectors = FtSupervisor::for_run(sc.treatment, &analysis);
+    if let Some(sup) = &detectors {
         sup.install_detectors(&mut sim, &sc.set);
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        sim.finish(bufs)
-    } else {
-        let mut sup = NullSupervisor;
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        sim.finish(bufs)
+    }
+    let mut null = NullSupervisor;
+    let sup: &mut dyn Supervisor = match detectors.as_mut() {
+        Some(sup) => sup,
+        None => &mut null,
     };
-
-    let stats = TraceStats::from_log(&log, Some(&sc.set));
-    let verdict = Verdict::new(&sc.set, &stats);
-    let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc
-        .faults
-        .entries()
-        .filter(|(_, _, d)| d.is_positive())
-        .map(|(t, _, _)| t)
-        .collect();
-    injected_faulty.sort_unstable();
-    injected_faulty.dedup();
-    Ok(ScenarioOutcome {
-        name: sc.name.clone(),
-        log,
-        stats,
-        verdict,
-        analysis: AnalysisSummary {
-            wcrt,
-            thresholds,
-            equitable,
-            system_allowance: system_max,
-        },
-        injected_faulty,
-    })
+    match sink {
+        Some(s) => sim.run_streamed(sup, s),
+        None => sim.run(sup),
+    };
+    Ok(ScenarioOutcome::reduce(sc, sim.finish(bufs), analysis))
 }
 
 /// Run the same system and fault plan under all five paper treatments, in
@@ -395,7 +337,7 @@ pub fn run_paper_lineup(
                 horizon,
             )
             .with_timer_model(timer_model);
-            run_scenario_with(&sc, &mut session)
+            run_scenario_buffered(&sc, &mut session, &mut SimBuffers::new())
         })
         .collect()
 }

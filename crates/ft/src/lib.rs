@@ -11,6 +11,9 @@
 //! * [`treatment`] — the paper's §4 policies: no detection, detect-only,
 //!   immediate stop, equitable allowance, system allowance;
 //! * [`manager`] — the §4.3 consumed-overrun ledger;
+//! * [`resolver`] — the one admission → thresholds → allowances →
+//!   certified-bound recipe, shared by every runner, the campaign
+//!   oracle and trace replay;
 //! * [`harness`] — scenario runner regenerating the paper's Figures 3–7
 //!   and the ablation sweeps;
 //! * [`verdict`] — which tasks failed, and whether damage was confined to
@@ -63,6 +66,7 @@ pub mod detector;
 pub mod dynamic;
 pub mod harness;
 pub mod manager;
+pub mod resolver;
 pub mod treatment;
 pub mod underrun;
 pub mod verdict;
@@ -73,8 +77,8 @@ pub mod prelude {
     pub use crate::detector::FtSupervisor;
     pub use crate::dynamic::{DynamicSystem, EpochChange};
     pub use crate::harness::{
-        run_paper_lineup, run_scenario, run_scenario_buffered, run_scenario_with, HarnessError,
-        Scenario, ScenarioOutcome,
+        run_paper_lineup, run_scenario, run_scenario_buffered, HarnessError, Scenario,
+        ScenarioOutcome,
     };
     pub use crate::manager::AllowanceManager;
     pub use crate::treatment::Treatment;

@@ -11,9 +11,13 @@
 //! means "unproven".
 
 use crate::bounds;
+use rtft_core::allowance::SlackPolicy;
+use rtft_core::error::AnalysisError;
 use rtft_core::policy::PolicyKind;
 use rtft_core::task::TaskSet;
 use rtft_core::time::Duration;
+use rtft_ft::harness::HarnessError;
+use rtft_ft::resolver::BoundsSession;
 
 /// The memoized feasibility verdict of a global session.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -257,6 +261,60 @@ impl GlobalAnalyzer {
             }
         }
         Duration::nanos(lo)
+    }
+}
+
+/// The global recipe behind the shared resolver — global flavours of
+/// the paper's Figures 3–7. The admission gate is strict and
+/// sufficient-only: an unproven set never runs.
+///
+/// - **NoDetection / DetectOnly / ImmediateStop** — thresholds are the
+///   baseline stop bounds ([`GlobalAnalyzer::stop_thresholds_at`] with a
+///   zero allowance): the Bertogna–Cirinei response bound where the
+///   fixed point converges, the deadline elsewhere.
+/// - **EquitableAllowance** — the uniform allowance is the largest `A`
+///   for which the inflated set still passes the sufficient test
+///   ([`GlobalAnalyzer::equitable_allowance`]); thresholds are the
+///   inflated bounds. `None` (no provable slack) is `InfeasibleBase`.
+/// - **SystemAllowance** — per-rank maxima come from
+///   [`GlobalAnalyzer::max_single_overrun`]; the paper's [`SlackPolicy`]
+///   parameter is ignored: the global bound already charges the overrun
+///   against every lower-priority task on every core, so the only sound
+///   grant policy is protect-all.
+/// - **Certification** — the Δmax-inflated stop bounds.
+impl BoundsSession for GlobalAnalyzer {
+    fn task_set(&self) -> &TaskSet {
+        GlobalAnalyzer::task_set(self)
+    }
+
+    fn baseline(&mut self) -> Result<Vec<Duration>, HarnessError> {
+        if !self.is_feasible() {
+            return Err(HarnessError::InfeasibleBase);
+        }
+        Ok(self.stop_thresholds_at(Duration::ZERO))
+    }
+
+    fn allowance(&mut self) -> Result<Option<Duration>, AnalysisError> {
+        Ok(self.equitable_allowance())
+    }
+
+    fn equitable(&mut self) -> Result<Option<(Duration, Vec<Duration>)>, AnalysisError> {
+        Ok(self
+            .equitable_allowance()
+            .map(|a| (a, self.stop_thresholds_at(a))))
+    }
+
+    fn system_maxima(
+        &mut self,
+        _policy: SlackPolicy,
+    ) -> Result<Option<Vec<Duration>>, AnalysisError> {
+        Ok((0..self.set.len())
+            .map(|rank| self.max_single_overrun(rank))
+            .collect())
+    }
+
+    fn inflated_bounds(&mut self, dmax: Duration) -> Result<Vec<Duration>, AnalysisError> {
+        Ok(self.stop_thresholds_at(dmax))
     }
 }
 

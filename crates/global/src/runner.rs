@@ -1,13 +1,12 @@
 //! The global scenario runner: task set × fault plan × treatment →
 //! core-tagged trace, executed on the migrating engine.
 //!
-//! This mirrors `rtft_ft::harness::run_scenario_buffered` step for step
-//! — admission gate, treatment-derived detector thresholds, detector
-//! timer grid, supervised simulation, trace reduction — but drives the
-//! [`GlobalSimulator`] (one shared
-//! wake queue, `m` core slots, free migration) and parameterizes the
-//! treatments from the sufficient-only [`GlobalAnalyzer`] instead of
-//! the exact uniprocessor analysis.
+//! Admission, treatment thresholds and allowances come from the shared
+//! `rtft_ft::resolver` recipe (this crate's [`GlobalAnalyzer`] is one of
+//! its sessions), and the trace reduction is the uniprocessor
+//! harness's; what stays here is the engine-specific part: the
+//! [`GlobalSimulator`] (one shared wake queue, `m` core slots, free
+//! migration) and its core-tagged projections.
 //!
 //! The admission gate is strict: a set the sufficient test cannot prove
 //! maps to [`HarnessError::InfeasibleBase`] and never runs. That keeps
@@ -15,32 +14,18 @@
 //! *does* run is analysis-feasible, so an observed deadline miss is a
 //! hard oracle violation rather than expected noise.
 //!
-//! Treatment mapping (global flavours of the paper's Figures 3–7):
-//!
-//! - **NoDetection / DetectOnly / ImmediateStop** — thresholds are the
-//!   baseline stop bounds ([`GlobalAnalyzer::stop_thresholds_at`] with a
-//!   zero allowance): the Bertogna–Cirinei response bound where the
-//!   fixed point converges, the deadline elsewhere.
-//! - **EquitableAllowance** — the uniform allowance is the largest `A`
-//!   for which the inflated set still passes the sufficient test
-//!   ([`GlobalAnalyzer::equitable_allowance`]); thresholds are the
-//!   inflated bounds. `None` (no provable slack) is `InfeasibleBase`.
-//! - **SystemAllowance** — per-rank maxima come from
-//!   [`GlobalAnalyzer::max_single_overrun`]. The paper's
-//!   [`SlackPolicy`](rtft_core::allowance::SlackPolicy) parameter is
-//!   ignored: the global bound already charges the overrun against
-//!   every lower-priority task on every core, so the only sound grant
-//!   policy is protect-all.
+//! The global treatment mapping lives with the analyzer's
+//! `BoundsSession` implementation.
 
-use rtft_core::time::Duration;
-use rtft_ft::harness::{AnalysisSummary, HarnessError, Scenario, ScenarioOutcome};
-use rtft_ft::manager::AllowanceManager;
-use rtft_ft::prelude::{FtSupervisor, Treatment, Verdict};
-use rtft_sim::engine::{SimBuffers, SimConfig};
+use rtft_ft::harness::{HarnessError, Scenario, ScenarioOutcome};
+use rtft_ft::prelude::FtSupervisor;
+use rtft_ft::resolver::prescribe;
+use rtft_sim::engine::SimBuffers;
 use rtft_sim::global::GlobalSimulator;
 use rtft_sim::sink::TraceSink;
-use rtft_sim::supervisor::NullSupervisor;
-use rtft_trace::{TraceLog, TraceStats};
+use rtft_sim::supervisor::{NullSupervisor, Supervisor};
+use rtft_trace::merge::merged_content_hash;
+use rtft_trace::TraceLog;
 
 use crate::analyzer::GlobalAnalyzer;
 
@@ -65,30 +50,16 @@ pub struct GlobalOutcome {
     pub core_logs: Vec<(usize, TraceLog)>,
 }
 
-/// Run a scenario on `cores` migrating cores with a throwaway analysis
-/// session.
-pub fn run_global(sc: &Scenario, cores: usize) -> Result<GlobalOutcome, HarnessError> {
-    let mut session = GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
-    run_global_with(sc, &mut session)
-}
-
-/// Run a scenario against a caller-held [`GlobalAnalyzer`] session —
-/// the memoized bounds and allowances are then shared across scenarios,
-/// exactly as the uniprocessor harness shares its `Analyzer`.
+/// Run a scenario on the session's migrating cores against a
+/// caller-held [`GlobalAnalyzer`] session — the memoized bounds and
+/// allowances are then shared across scenarios, exactly as the
+/// uniprocessor harness shares its `Analyzer` — reusing caller-held
+/// simulation storage (see `rtft_ft::harness::run_scenario_buffered`
+/// for the recycling contract — it is identical here).
 ///
-/// # Panics
-/// Panics if `session` analyses a different task set, or was built for
-/// a different scheduling policy, than the scenario.
-pub fn run_global_with(
-    sc: &Scenario,
-    session: &mut GlobalAnalyzer,
-) -> Result<GlobalOutcome, HarnessError> {
-    run_global_buffered(sc, session, &mut SimBuffers::new())
-}
-
-/// [`run_global_with`], reusing caller-held simulation storage (see
-/// `rtft_ft::harness::run_scenario_buffered` for the recycling
-/// contract — it is identical here).
+/// # Errors
+/// [`HarnessError::InfeasibleBase`] when the sufficient test cannot
+/// prove the base system, or the treatment's allowance is unproven.
 ///
 /// # Panics
 /// Panics if `session` analyses a different task set, or was built for
@@ -98,32 +69,24 @@ pub fn run_global_buffered(
     session: &mut GlobalAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<GlobalOutcome, HarnessError> {
-    run_global_sunk(sc, session, bufs, None)
+    run_global_streamed(sc, session, bufs, None)
 }
 
 /// [`run_global_buffered`], additionally feeding every recorded event to
-/// `sink` as the simulation produces it: execution events arrive tagged
-/// with their executing core, platform-level events (releases, detector
-/// fires, `SimEnd`) with `None` — the same attribution
+/// `sink`, when one is given, as the simulation produces it: execution
+/// events arrive tagged with their executing core, platform-level events
+/// (releases, detector fires, `SimEnd`) with `None` — the same
+/// attribution
 /// [`GlobalSimulator::core_of`](rtft_sim::global::GlobalSimulator)
 /// persists in the core-tagged trace. The outcome is byte-identical to
 /// the unsunk run.
 ///
 /// # Errors
-/// As [`run_global`].
+/// As [`run_global_buffered`].
 ///
 /// # Panics
-/// As [`run_global_with`].
+/// As [`run_global_buffered`].
 pub fn run_global_streamed(
-    sc: &Scenario,
-    session: &mut GlobalAnalyzer,
-    bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<GlobalOutcome, HarnessError> {
-    run_global_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_global_sunk(
     sc: &Scenario,
     session: &mut GlobalAnalyzer,
     bufs: &mut SimBuffers,
@@ -132,107 +95,39 @@ fn run_global_sunk(
     assert_eq!(
         session.task_set(),
         &sc.set,
-        "run_global_with: session and scenario disagree on the task set"
+        "run_global: session and scenario disagree on the task set"
     );
     assert_eq!(
         session.sched_policy(),
         sc.policy,
-        "run_global_with: session and scenario disagree on the policy"
+        "run_global: session and scenario disagree on the policy"
     );
     let cores = session.cores();
-
-    // Sufficient-only admission gate: unproven systems never run.
-    if !session.is_feasible() {
-        return Err(HarnessError::InfeasibleBase);
-    }
-    // Baseline stop bound per rank: the Bertogna–Cirinei fixed point
-    // where it converges, the deadline elsewhere (always the deadline
-    // under EDF). This plays the role the exact WCRT plays on one core.
-    let wcrt = session.stop_thresholds_at(Duration::ZERO);
-
-    let mut thresholds = Vec::new();
-    let mut equitable = None;
-    let mut manager = None;
-    let mut system_max = None;
-
-    match sc.treatment {
-        Treatment::NoDetection => {}
-        Treatment::DetectOnly | Treatment::ImmediateStop { .. } => {
-            thresholds = wcrt.clone();
-        }
-        Treatment::EquitableAllowance { .. } => {
-            let eq = session
-                .equitable_allowance()
-                .ok_or(HarnessError::InfeasibleBase)?;
-            equitable = Some(eq);
-            thresholds = session.stop_thresholds_at(eq);
-        }
-        // SlackPolicy is intentionally ignored (see the module doc):
-        // the global interference bound charges an overrun against all
-        // lower-priority work system-wide, so protect-all is the only
-        // sound grant policy.
-        Treatment::SystemAllowance { .. } => {
-            let maxima: Option<Vec<Duration>> = (0..sc.set.len())
-                .map(|rank| session.max_single_overrun(rank))
-                .collect();
-            let maxima = maxima.ok_or(HarnessError::InfeasibleBase)?;
-            thresholds = wcrt.clone();
-            manager = Some(AllowanceManager::new(maxima.clone()));
-            system_max = Some(maxima);
-        }
-    }
-
-    let config = SimConfig::until(sc.horizon)
-        .with_timer_model(sc.timer_model)
-        .with_stop_model(sc.stop_model)
-        .with_overheads(sc.overheads)
-        .with_policy(sc.policy);
-    let mut sim =
-        GlobalSimulator::new_in(sc.set.clone(), cores, config, bufs).with_faults(sc.faults.clone());
-
-    let (merged_hash, core_logs, log) = if sc.treatment.has_detection() {
-        let mut sup = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
+    let analysis = prescribe(session, sc.treatment)?;
+    let mut sim = GlobalSimulator::new_in(sc.set.clone(), cores, sc.sim_config(), bufs)
+        .with_faults(sc.faults.clone());
+    let mut detectors = FtSupervisor::for_run(sc.treatment, &analysis);
+    if let Some(sup) = &detectors {
         for (first, period, tag) in sup.detector_specs(&sc.set) {
             sim.add_periodic_timer(first, period, tag);
         }
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        (sim.merged_hash(), sim.core_logs(), sim.finish(bufs))
-    } else {
-        let mut sup = NullSupervisor;
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        (sim.merged_hash(), sim.core_logs(), sim.finish(bufs))
+    }
+    let mut null = NullSupervisor;
+    let sup: &mut dyn Supervisor = match detectors.as_mut() {
+        Some(sup) => sup,
+        None => &mut null,
     };
-
-    let stats = TraceStats::from_log(&log, Some(&sc.set));
-    let verdict = Verdict::new(&sc.set, &stats);
-    let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc
-        .faults
-        .entries()
-        .filter(|(_, _, d)| d.is_positive())
-        .map(|(t, _, _)| t)
-        .collect();
-    injected_faulty.sort_unstable();
-    injected_faulty.dedup();
+    match sink {
+        Some(s) => sim.run_streamed(sup, s),
+        None => sim.run(sup),
+    };
+    // One per-core projection serves both the merged hash and the
+    // core-tagged captures.
+    let core_logs = sim.core_logs();
+    let refs: Vec<(usize, &TraceLog)> = core_logs.iter().map(|(c, l)| (*c, l)).collect();
+    let merged_hash = merged_content_hash(&refs);
     Ok(GlobalOutcome {
-        outcome: ScenarioOutcome {
-            name: sc.name.clone(),
-            log,
-            stats,
-            verdict,
-            analysis: AnalysisSummary {
-                wcrt,
-                thresholds,
-                equitable,
-                system_allowance: system_max,
-            },
-            injected_faulty,
-        },
+        outcome: ScenarioOutcome::reduce(sc, sim.finish(bufs), analysis),
         cores,
         merged_hash,
         core_logs,
@@ -243,7 +138,8 @@ fn run_global_sunk(
 mod tests {
     use super::*;
     use rtft_core::task::{TaskBuilder, TaskId, TaskSet};
-    use rtft_core::time::Instant;
+    use rtft_core::time::{Duration, Instant};
+    use rtft_ft::treatment::Treatment;
     use rtft_sim::fault::FaultPlan;
     use rtft_sim::stop::StopMode;
     use rtft_trace::event::EventKind;
@@ -266,6 +162,11 @@ mod tests {
                 .deadline(ms(120))
                 .build(),
         ])
+    }
+
+    fn run_on(sc: &Scenario, cores: usize) -> Result<GlobalOutcome, HarnessError> {
+        let mut session = GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
+        run_global_buffered(sc, &mut session, &mut SimBuffers::new())
     }
 
     fn scenario(treatment: Treatment) -> Scenario {
@@ -292,15 +193,12 @@ mod tests {
             Treatment::DetectOnly,
             Instant::from_millis(1000),
         );
-        assert_eq!(
-            run_global(&sc, 2).unwrap_err(),
-            HarnessError::InfeasibleBase
-        );
+        assert_eq!(run_on(&sc, 2).unwrap_err(), HarnessError::InfeasibleBase);
     }
 
     #[test]
     fn detect_only_runs_and_reports_the_injected_task() {
-        let out = run_global(&scenario(Treatment::DetectOnly), 2).unwrap();
+        let out = run_on(&scenario(Treatment::DetectOnly), 2).unwrap();
         assert_eq!(out.cores, 2);
         assert_eq!(out.outcome.injected_faulty, vec![TaskId(1)]);
         assert!(out
@@ -315,7 +213,7 @@ mod tests {
 
     #[test]
     fn equitable_inflates_thresholds_above_baseline() {
-        let out = run_global(
+        let out = run_on(
             &scenario(Treatment::EquitableAllowance {
                 mode: StopMode::Permanent,
             }),
@@ -338,7 +236,7 @@ mod tests {
     #[test]
     fn system_allowance_ignores_slack_policy() {
         use rtft_core::allowance::SlackPolicy;
-        let a = run_global(
+        let a = run_on(
             &scenario(Treatment::SystemAllowance {
                 mode: StopMode::Permanent,
                 policy: SlackPolicy::ProtectAll,
@@ -346,7 +244,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let b = run_global(
+        let b = run_on(
             &scenario(Treatment::SystemAllowance {
                 mode: StopMode::Permanent,
                 policy: SlackPolicy::ProtectOthers,
@@ -366,8 +264,8 @@ mod tests {
         let sc = scenario(Treatment::ImmediateStop {
             mode: StopMode::Permanent,
         });
-        let a = run_global(&sc, 2).unwrap();
-        let b = run_global(&sc, 2).unwrap();
+        let a = run_on(&sc, 2).unwrap();
+        let b = run_on(&sc, 2).unwrap();
         assert_eq!(a.merged_hash, b.merged_hash);
         assert_eq!(a.outcome.log.events(), b.outcome.log.events());
     }

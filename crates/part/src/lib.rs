@@ -65,7 +65,9 @@ pub mod workbench;
 
 pub use alloc::{allocate, AllocError, AllocPolicy};
 pub use analyzer::PartitionedAnalyzer;
-pub use multicore::{run_partitioned, CoreOutcome, MulticoreError, MulticoreOutcome};
+pub use multicore::{
+    run_partitioned_buffered, run_partitioned_streamed, CoreOutcome, MulticoreOutcome,
+};
 pub use partition::Partition;
 pub use workbench::Workbench;
 
@@ -73,7 +75,7 @@ pub use workbench::Workbench;
 pub mod prelude {
     pub use crate::alloc::{allocate, AllocError, AllocPolicy};
     pub use crate::analyzer::PartitionedAnalyzer;
-    pub use crate::multicore::{run_partitioned, MulticoreError, MulticoreOutcome};
+    pub use crate::multicore::{run_partitioned_buffered, MulticoreOutcome};
     pub use crate::partition::Partition;
     pub use crate::workbench::Workbench;
 }

@@ -4,10 +4,10 @@
 //! core over a shared virtual clock: no task migrates, so the cores
 //! never interact and each core's schedule is exactly what the
 //! single-CPU [`Simulator`](rtft_sim::engine::Simulator) produces for
-//! the core's subset. [`run_partitioned`] exploits that: every occupied
-//! core becomes an ordinary [`Scenario`] (the core's task set, the fault
-//! plan restricted to it, the same treatment/platform/policy) executed
-//! through the unchanged `run_scenario_with` path — detectors, allowance
+//! the core's subset. [`run_partitioned_streamed`] exploits that: every
+//! occupied core becomes an ordinary [`Scenario`] (the core's task set,
+//! the fault plan restricted to it, the same treatment/platform/policy)
+//! executed through the unchanged `run_scenario_streamed` path — detectors, allowance
 //! managers and verdicts all work per core without modification — and
 //! the per-core traces are recombined into a deterministic, core-tagged
 //! merged stream ([`rtft_trace::merge`]).
@@ -15,12 +15,9 @@
 //! With a 1-core partition the core scenario *is* the input scenario, so
 //! the single trace is bit-for-bit the uniprocessor engine's output.
 
-use crate::alloc::AllocError;
 use crate::analyzer::PartitionedAnalyzer;
 use rtft_core::task::TaskId;
-use rtft_ft::harness::{
-    run_scenario_buffered, run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome,
-};
+use rtft_ft::harness::{run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome};
 use rtft_sim::engine::SimBuffers;
 use rtft_sim::sink::{CoreTag, TraceSink};
 use rtft_trace::merge::{merge_core_traces, merged_content_hash, CoreEvent};
@@ -90,38 +87,6 @@ impl MulticoreOutcome {
     }
 }
 
-/// Why a partitioned run could not happen.
-#[derive(Clone, PartialEq, Debug)]
-pub enum MulticoreError {
-    /// The allocator found no placement.
-    Alloc(AllocError),
-    /// A core failed its admission analysis or treatment derivation.
-    Harness(HarnessError),
-}
-
-impl std::fmt::Display for MulticoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MulticoreError::Alloc(e) => write!(f, "{e}"),
-            MulticoreError::Harness(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MulticoreError {}
-
-impl From<AllocError> for MulticoreError {
-    fn from(e: AllocError) -> Self {
-        MulticoreError::Alloc(e)
-    }
-}
-
-impl From<HarnessError> for MulticoreError {
-    fn from(e: HarnessError) -> Self {
-        MulticoreError::Harness(e)
-    }
-}
-
 /// The label of one core's slice of a named run — the single format
 /// shared by per-core scenarios, campaign digests and repro specs.
 pub fn core_label(name: &str, core: usize) -> String {
@@ -152,7 +117,11 @@ pub fn core_scenario(sc: &Scenario, session: &PartitionedAnalyzer, core: usize) 
 
 /// Execute `sc` partitioned: one engine per occupied core of the
 /// session's partition, each driven through the unchanged uniprocessor
-/// harness against the core's memoized analysis session.
+/// harness against the core's memoized analysis session. The cores run
+/// sequentially, so one [`SimBuffers`] serves them all (each core's
+/// trace is kept for the merge; the wake queue and occurrence outbox
+/// carry over). A batch driver passes its per-worker buffers here for
+/// cross-job reuse as well.
 ///
 /// # Errors
 /// [`HarnessError`] from the first core whose admission or treatment
@@ -163,54 +132,27 @@ pub fn core_scenario(sc: &Scenario, session: &PartitionedAnalyzer, core: usize) 
 /// # Panics
 /// Panics if the session's partition does not cover `sc.set` (the
 /// scenario and partition must describe the same system).
-pub fn run_partitioned(
-    sc: &Scenario,
-    session: &mut PartitionedAnalyzer,
-) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_buffered(sc, session, &mut SimBuffers::new())
-}
-
-/// [`run_partitioned`], reusing caller-held simulation storage: the
-/// cores run sequentially, so one [`SimBuffers`] serves them all (each
-/// core's trace is kept for the merge; the wake queue and occurrence
-/// outbox carry over). A batch driver passes its per-worker buffers
-/// here for cross-job reuse as well.
-///
-/// # Errors
-/// As [`run_partitioned`].
-///
-/// # Panics
-/// As [`run_partitioned`].
 pub fn run_partitioned_buffered(
     sc: &Scenario,
     session: &mut PartitionedAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_sunk(sc, session, bufs, None)
+    run_partitioned_streamed(sc, session, bufs, None)
 }
 
 /// [`run_partitioned_buffered`], additionally feeding every recorded
-/// event to `sink`, tagged with its core (via
+/// event to `sink`, when one is given, tagged with its core (via
 /// [`rtft_sim::sink::CoreTag`]). Cores run sequentially, so the sink
 /// sees core 0's whole run, then core 1's, and so on — chronological
 /// *within* each core, exactly like the per-core logs the merge
 /// recombines. The outcome is byte-identical to the unsunk run.
 ///
 /// # Errors
-/// As [`run_partitioned`].
+/// As [`run_partitioned_buffered`].
 ///
 /// # Panics
-/// As [`run_partitioned`].
+/// As [`run_partitioned_buffered`].
 pub fn run_partitioned_streamed(
-    sc: &Scenario,
-    session: &mut PartitionedAnalyzer,
-    bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_partitioned_sunk(
     sc: &Scenario,
     session: &mut PartitionedAnalyzer,
     bufs: &mut SimBuffers,
@@ -233,21 +175,13 @@ fn run_partitioned_sunk(
     let mut cores = Vec::with_capacity(occupied.len());
     for core in occupied {
         let csc = core_scenario(sc, session, core);
+        let analyzer = session.core_session_mut(core).expect("occupied core");
         let outcome = match sink.as_mut() {
             Some(s) => {
                 let mut tagged = CoreTag::new(core, *s);
-                run_scenario_streamed(
-                    &csc,
-                    session.core_session_mut(core).expect("occupied core"),
-                    bufs,
-                    &mut tagged,
-                )?
+                run_scenario_streamed(&csc, analyzer, bufs, Some(&mut tagged))?
             }
-            None => run_scenario_buffered(
-                &csc,
-                session.core_session_mut(core).expect("occupied core"),
-                bufs,
-            )?,
+            None => run_scenario_streamed(&csc, analyzer, bufs, None)?,
         };
         cores.push(CoreOutcome { core, outcome });
     }
@@ -266,6 +200,13 @@ mod tests {
     use rtft_core::task::{TaskBuilder, TaskSet};
     use rtft_core::time::{Duration, Instant};
     use rtft_ft::harness::run_scenario;
+
+    fn run_split(
+        sc: &Scenario,
+        session: &mut PartitionedAnalyzer,
+    ) -> Result<MulticoreOutcome, HarnessError> {
+        run_partitioned_buffered(sc, session, &mut SimBuffers::new())
+    }
     use rtft_ft::treatment::Treatment;
     use rtft_sim::fault::FaultPlan;
     use rtft_sim::stop::StopMode;
@@ -316,7 +257,7 @@ mod tests {
                 Partition::single_core(&sc.set),
                 PolicyKind::FixedPriority,
             );
-            let multi = run_partitioned(&sc, &mut session).unwrap();
+            let multi = run_split(&sc, &mut session).unwrap();
             assert_eq!(multi.cores.len(), 1);
             assert_eq!(
                 multi.cores[0].outcome.log, direct.log,
@@ -352,7 +293,7 @@ mod tests {
             Instant::from_millis(1300),
         );
         let mut session = PartitionedAnalyzer::new(p.clone(), PolicyKind::FixedPriority);
-        let multi = run_partitioned(&sc, &mut session).unwrap();
+        let multi = run_split(&sc, &mut session).unwrap();
         for &core in &other {
             let solo = run_scenario(&Scenario::new(
                 "solo",
@@ -389,7 +330,7 @@ mod tests {
             Instant::from_millis(1300),
         );
         let mut session = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
-        let multi = run_partitioned(&sc, &mut session).unwrap();
+        let multi = run_split(&sc, &mut session).unwrap();
         let merged = multi.merged_events();
         assert_eq!(
             merged.len(),
@@ -432,7 +373,7 @@ mod tests {
             Instant::from_millis(1300),
         );
         let mut session = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
-        let multi = run_partitioned(&sc, &mut session).unwrap();
+        let multi = run_split(&sc, &mut session).unwrap();
         assert_eq!(multi.failed_tasks(), vec![rtft_core::task::TaskId(1)]);
         assert!(multi.collateral_failures().is_empty());
         let stops: usize = multi

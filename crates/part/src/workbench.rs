@@ -60,6 +60,7 @@ use rtft_core::query::{
     CoreAllowance, CoreScale, Placement, Query, Response, SystemSpec, TaskValue,
 };
 use rtft_core::time::Duration;
+use rtft_ft::resolver::BoundsSession;
 use rtft_global::GlobalAnalyzer;
 
 /// The memoized analysis state behind a [`Workbench`], built lazily on
@@ -170,6 +171,23 @@ impl Workbench {
         match self.ensure() {
             Backend::Global(ga) => Some(ga),
             _ => None,
+        }
+    }
+
+    /// Every analysis session of the placement as a
+    /// [`BoundsSession`], in core order: the uniprocessor or global
+    /// session alone, or each occupied core's session (none when the
+    /// spec is unplaceable). Resolving a job's bounds is one
+    /// [`rtft_ft::resolver`] pass per session.
+    pub fn bounds_sessions_mut(&mut self) -> Vec<&mut dyn BoundsSession> {
+        match self.ensure() {
+            Backend::Uni(a) => vec![a.as_mut()],
+            Backend::Multi(pa) => pa
+                .sessions_mut()
+                .map(|(_, s)| s as &mut dyn BoundsSession)
+                .collect(),
+            Backend::Global(ga) => vec![ga.as_mut()],
+            Backend::Unplaceable(_) => Vec::new(),
         }
     }
 

@@ -12,7 +12,7 @@ use rtft_campaign::JobSpec;
 use rtft_core::task::TaskId;
 use rtft_ft::harness::run_scenario;
 use rtft_replay::{job_from_campaign, minimize, replay, Certification, DivergenceKind};
-use rtft_trace::TraceCapture;
+use rtft_trace::{EventKind, TraceCapture, TraceLog};
 use std::path::PathBuf;
 
 /// The five paper-lineup jobs in figure order (fig3 = no detection …
@@ -137,4 +137,60 @@ fn fault_free_lineup_certifies_and_replays_clean() {
         Certification::Certified { .. }
     ));
     assert_eq!(report.verdict.to_string(), outcome.verdict.to_string());
+}
+
+#[test]
+fn tampered_uunifast_trace_minimizes_to_the_same_index() {
+    // Generated sets number tasks in generation order while their
+    // priorities are deadline-monotonic, so ids and ranks disagree. The
+    // repro spec must keep every id, or the minimized capture's task
+    // ids point at other tasks' thresholds and re-diverge elsewhere.
+    let job = job_from_campaign(
+        "campaign generated\n\
+         horizon 600ms\n\
+         taskgen uunifast n=5 u=0.6 seeds=3..4 periods=20ms..150ms\n\
+         faults single task=2 job=1 overrun=60ms\n\
+         treatment detect\n\
+         platform exact\n",
+    )
+    .expect("one generated job");
+    let ids: Vec<TaskId> = job.set.tasks().iter().map(|t| t.id).collect();
+    assert!(
+        ids.iter()
+            .enumerate()
+            .any(|(rank, id)| *id != TaskId(rank as u32 + 1)),
+        "the set must list ids out of priority order: {ids:?}"
+    );
+
+    // Delete the detections: the overrun's late completion is now
+    // unexplained and must flag a missed detection line.
+    let capture = rtft_campaign::capture_job(&job).expect("generated set runs");
+    let log: TraceLog = capture
+        .events()
+        .into_iter()
+        .map(|ce| ce.event)
+        .filter(|e| !matches!(e.kind, EventKind::FaultDetected { .. }))
+        .collect();
+    assert!(log.len() < capture.len(), "the overrun must be detected");
+    let header = capture.header.as_ref().expect("captures carry a header");
+    let tampered = TraceCapture::flat(header.spec_hash, "fp", "detect", log);
+    let d = replay(&tampered, &job)
+        .expect("analysis succeeds")
+        .divergence
+        .expect("deleting detections must diverge");
+    assert!(
+        matches!(d.kind, DivergenceKind::MissedThreshold { .. }),
+        "{d}"
+    );
+
+    let repro = minimize(&tampered, &job, &d);
+    let re_job = job_from_campaign(&repro.spec).expect("repro spec is one job");
+    let re_ids: Vec<TaskId> = re_job.set.tasks().iter().map(|t| t.id).collect();
+    assert_eq!(re_ids, ids, "task ids must survive the repro round trip");
+    let re_d = replay(&repro.capture, &re_job)
+        .expect("repro analysis succeeds")
+        .divergence
+        .expect("minimized capture diverges");
+    assert_eq!(re_d.index, d.index, "divergence index must be preserved");
+    assert_eq!(re_d.kind, d.kind, "divergence kind must be preserved");
 }

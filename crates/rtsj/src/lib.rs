@@ -19,8 +19,10 @@
 //! * [`timer`] — `AsyncEvent` / `PeriodicTimer` / `OneShotTimer`,
 //!   including jRate's quantization;
 //! * [`memory`] — the `ImmortalMemory` / `ScopedMemory` region model with
-//!   single-parent and assignment rules (a concept port: Rust's ownership
-//!   replaces `NoHeapRealtimeThread` GC isolation — see DESIGN.md §6).
+//!   single-parent and assignment rules (a concept port: Rust has no
+//!   garbage collector for a `NoHeapRealtimeThread` to be isolated
+//!   from, and ownership already enforces what the region rules
+//!   protect, so only the rules themselves are modelled).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -2,7 +2,7 @@
 //!
 //! The body is a **one-job** campaign spec (the same contract as a
 //! `rtft replay --spec` artifact); the daemon runs that job through
-//! [`rtft_campaign::capture_job_streamed`] and writes every recorded
+//! [`rtft_campaign::execute`] with a sink and writes every recorded
 //! event down the socket *as the simulation produces it* — a
 //! close-delimited body with no `Content-Length`, flushed per event, so
 //! a subscriber watches the run live instead of waiting for it to
@@ -110,7 +110,12 @@ pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> 
         };
         dead = stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err();
     };
-    let trailer = match rtft_campaign::capture_job_streamed(job, &mut sink) {
+    let mut bench = rtft_campaign::Workbench::new(job.system_spec());
+    let mut bufs = rtft_sim::engine::SimBuffers::new();
+    let capture = rtft_campaign::execute(job, &mut bench, &mut bufs, Some(&mut sink), false)
+        .map_err(|e| e.to_string())
+        .and_then(|execution| execution.into_capture(job));
+    let trailer = match capture {
         Ok(capture) => match &capture.header {
             Some(h) => format!("# content-hash {:016x}\n", h.content_hash),
             None => String::new(),

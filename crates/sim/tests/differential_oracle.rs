@@ -13,13 +13,41 @@
 use rtft_campaign::prelude::*;
 use rtft_core::analyzer::Analyzer;
 use rtft_core::time::{Duration, Instant};
-use rtft_ft::harness::run_scenario_with;
+use rtft_ft::harness::{run_scenario_buffered, HarnessError, Scenario};
 use rtft_ft::treatment::Treatment;
+use rtft_sim::engine::SimBuffers;
 use rtft_sim::fault::FaultPlan;
 use rtft_taskgen::{DeadlineKind, GeneratorConfig};
+use std::sync::Arc;
 
 fn ms(v: i64) -> Duration {
     Duration::millis(v)
+}
+
+/// The oracle's verdict on a lone uniprocessor scenario, run as a
+/// one-job campaign through the executor.
+fn oracle_of(sc: &Scenario) -> Result<OracleOutcome, HarnessError> {
+    let job = JobSpec {
+        index: 0,
+        set_ordinal: 0,
+        set_label: sc.name.clone(),
+        set: Arc::new(sc.set.clone()),
+        policy: sc.policy,
+        cores: 1,
+        placement: rtft_core::query::Placement::Partitioned,
+        alloc: rtft_core::query::AllocPolicy::FirstFitDecreasing,
+        fault_label: "explicit".to_string(),
+        faults: sc.faults.clone(),
+        treatment: sc.treatment,
+        platform: PlatformSpec {
+            timer: sc.timer_model,
+            stop: sc.stop_model,
+            overheads: sc.overheads,
+        },
+        horizon: sc.horizon,
+    };
+    let mut bench = Workbench::new(job.system_spec());
+    Ok(execute(&job, &mut bench, &mut SimBuffers::new(), None, true)?.oracle())
 }
 
 /// The random grid: 112 systems × 3 policies × 3 fault plans ×
@@ -121,14 +149,15 @@ fn out_of_allowance_overruns_are_flagged_by_the_detectors() {
         let delta = (wcrt[0] - victim.cost).max(allowance) + ms(5);
         let faults = FaultPlan::none().overrun(victim.id, 0, delta);
 
-        let sc = rtft_ft::harness::Scenario::new(
+        let sc = Scenario::new(
             format!("oob-{seed}"),
             set.clone(),
             faults,
             Treatment::DetectOnly,
             Instant::EPOCH + victim.period,
         );
-        let outcome = run_scenario_with(&sc, &mut session).expect("feasible base");
+        let outcome = run_scenario_buffered(&sc, &mut session, &mut SimBuffers::new())
+            .expect("feasible base");
         assert!(
             outcome
                 .log
@@ -139,7 +168,7 @@ fn out_of_allowance_overruns_are_flagged_by_the_detectors() {
             outcome.log.faults()
         );
         // And the oracle refuses to certify it: Δ exceeds the allowance.
-        let (_, oracle) = run_single(&sc, true).expect("feasible base");
+        let oracle = oracle_of(&sc).expect("feasible base");
         assert!(
             !oracle.was_checked(),
             "seed {seed}: Δ = {delta} > A = {allowance} cannot be certified"
@@ -170,14 +199,14 @@ fn allowance_boundary_is_certified_exactly() {
             continue;
         }
         let victim = set.by_rank(0).clone();
-        let sc = rtft_ft::harness::Scenario::new(
+        let sc = Scenario::new(
             format!("boundary-{seed}"),
             set.clone(),
             FaultPlan::none().overrun(victim.id, 1, eq.allowance),
             Treatment::DetectOnly,
             Instant::from_millis(500),
         );
-        let Ok((_, oracle)) = run_single(&sc, true) else {
+        let Ok(oracle) = oracle_of(&sc) else {
             continue;
         };
         assert!(

@@ -50,7 +50,9 @@ pub fn table2() -> TaskSet {
 /// of task τ1, which coincides with the activation of a job of τ2 and
 /// τ3"). With τ3 strictly periodic from 0 (T = 1500 ms) no such
 /// coincidence exists; the figures imply a release offset, reproduced
-/// here. See DESIGN.md §2.
+/// here. The paper gives no phase, so 1000 ms is used: the only offset
+/// below T3 that releases τ3 together with τ1's fifth job and τ2's
+/// fourth.
 pub fn table2_figure_window() -> TaskSet {
     let base = table2();
     let mut tau3 = base.by_id(TaskId(3)).expect("τ3 exists").clone();

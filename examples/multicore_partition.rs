@@ -61,7 +61,8 @@ fn main() {
         Instant::from_millis(2000),
     );
     let outcome =
-        rtft::part::run_partitioned(&scenario, &mut sessions).expect("feasible partition runs");
+        rtft::part::run_partitioned_buffered(&scenario, &mut sessions, &mut SimBuffers::new())
+            .expect("feasible partition runs");
     println!(
         "\nran {} cores, {} merged events, merged hash {:016x}",
         outcome.cores.len(),

@@ -802,6 +802,26 @@ fn cli_job(
     }
 }
 
+/// The `--window <from>..<to>` and `--cell <duration>` chart flags,
+/// defaulting to `[EPOCH, end)` in about 120 cells.
+fn chart_window(args: &[String], end: Instant) -> Result<(Instant, Instant, Duration), CliError> {
+    let (from, to) = match flag_value(args, "--window") {
+        Some(w) => {
+            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
+            (
+                Instant::EPOCH + parse_duration(a)?,
+                Instant::EPOCH + parse_duration(b)?,
+            )
+        }
+        None => (Instant::EPOCH, end),
+    };
+    let cell = match flag_value(args, "--cell") {
+        Some(c) => parse_duration(c)?,
+        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
+    };
+    Ok((from, to, cell))
+}
+
 fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     let path = args.first().ok_or("run: missing task file")?;
     let (set, faults) = load_system(path)?;
@@ -824,191 +844,75 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         Instant::EPOCH + horizon,
         jrate,
     );
-    let mut scenario = Scenario::new(
-        path.to_string(),
-        set.clone(),
-        faults,
-        treatment,
-        Instant::EPOCH + horizon,
-    )
-    .with_policy(policy);
-    if jrate {
-        scenario = scenario.with_jrate_timers();
+    if cores > 1 && flag_value(args, "--svg").is_some() {
+        return Err("--svg is not supported with --cores > 1".into());
     }
-    if cores > 1 {
-        if placement == rtft_core::query::Placement::Global {
-            return run_global_cmd(args, &scenario, &job, cores, horizon);
-        }
-        return run_partitioned_cmd(args, &scenario, &job, cores, alloc, horizon);
-    }
-    // A single run is a one-job campaign: same execution path, plus the
+    // A run is a one-job campaign: same execution path, plus the
     // differential oracle for free.
-    let (out, oracle) = rtft_campaign::run_single(&scenario, true).map_err(|e| e.to_string())?;
+    let mut bench = Workbench::new(job.system_spec());
+    let execution = rtft::campaign::execute(&job, &mut bench, &mut SimBuffers::new(), None, true)
+        .map_err(|e| e.to_string())?;
+    if let Execution::Unplaceable(diag) = execution {
+        return Err(diag.into());
+    }
+    let (from, to, cell) = chart_window(args, Instant::EPOCH + horizon)?;
 
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+    // Partitioned runs chart and judge each core's subset on its own;
+    // the uniprocessor and global runs chart the whole set (jobs of a
+    // global run may overlap in time: that's `m` cores in parallel).
+    let partition = bench.partition();
+    for (core, out) in execution.outcomes() {
+        let chart_set = match (core, partition) {
+            (Some(core), Some(p)) => {
+                println!("== core {core} ==");
+                p.core_set(core).expect("occupied core")
+            }
+            _ => &set,
+        };
+        println!("{}", out.chart(chart_set, from, to, cell));
+        println!("{}", out.verdict);
+    }
+    match &execution {
+        Execution::Partitioned(multi, _) => {
+            println!(
+                "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
+                multi.merged_hash()
+            );
+            println!("collateral failures: {:?}", multi.collateral_failures());
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
-    println!("{}", out.chart(&set, from, to, cell));
-    println!("{}", out.verdict);
-    if !out.injected_faulty.is_empty() {
-        println!(
-            "injected faults on {:?}; collateral failures: {:?}",
-            out.injected_faulty,
-            out.collateral_failures()
-        );
+        Execution::Global(global, _) => println!(
+            "global over {cores} migrating cores: merged hash {:016x}",
+            global.merged_hash
+        ),
+        _ => {}
     }
-    if let Some(file) = flag_value(args, "--svg") {
-        let cfg = rtft::trace::SvgConfig::window(from, to);
-        std::fs::write(file, rtft::trace::render_svg(&out.log, &set, &cfg))
-            .map_err(|e| format!("write {file}: {e}"))?;
-        println!("SVG chart written to {file}");
-    }
-    if let Some(file) = flag_value(args, "--save-trace") {
-        let capture = rtft::trace::TraceCapture::flat(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            rtft::campaign::treatment_keyword(job.treatment),
-            out.log.clone(),
-        );
-        std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("trace written to {file}");
-    }
-    for v in oracle.violations() {
-        println!("ORACLE VIOLATION: {v}");
-    }
-    Ok(oracle.violations().is_empty())
-}
-
-/// `run --cores n`: the partitioned execution path — per-core charts and
-/// verdicts, a core-tagged merged trace, per-core differential oracle.
-fn run_partitioned_cmd(
-    args: &[String],
-    scenario: &Scenario,
-    job: &rtft::campaign::JobSpec,
-    cores: usize,
-    alloc: rtft::part::AllocPolicy,
-    horizon: rtft_core::time::Duration,
-) -> Result<bool, CliError> {
-    if flag_value(args, "--svg").is_some() {
-        return Err("--svg is not supported with --cores > 1".into());
-    }
-    let (multi, oracle, partition) =
-        run_single_partitioned(scenario, cores, alloc, true).map_err(|e| e.to_string())?;
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+    if let [(None, out)] = execution.outcomes().as_slice() {
+        if !out.injected_faulty.is_empty() {
+            println!(
+                "injected faults on {:?}; collateral failures: {:?}",
+                out.injected_faulty,
+                out.collateral_failures()
+            );
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
-    for run in &multi.cores {
-        println!("== core {} ==", run.core);
-        let core_set = partition.core_set(run.core).expect("occupied core");
-        println!("{}", run.outcome.chart(core_set, from, to, cell));
-        println!("{}", run.outcome.verdict);
-    }
-    println!(
-        "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
-        multi.merged_hash()
-    );
-    let collateral = multi.collateral_failures();
-    println!("collateral failures: {collateral:?}");
-    if let Some(file) = flag_value(args, "--save-trace") {
-        // The capture format, not the old `merge` Display dump: header
-        // plus `c<idx>`-tagged event lines, so the file re-imports.
-        let capture = rtft::trace::TraceCapture::merged(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            "partitioned",
-            cores,
-            rtft::campaign::treatment_keyword(job.treatment),
-            &multi.logs(),
-        );
-        std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("core-tagged trace written to {file}");
-    }
-    for v in oracle.violations() {
-        println!("ORACLE VIOLATION: {v}");
-    }
-    Ok(oracle.violations().is_empty())
-}
-
-/// `run --cores n --placement global`: the migrating-queue execution
-/// path — one chart over the whole set (jobs may overlap in time:
-/// that's `m` cores executing in parallel), the merged core-tagged
-/// hash, and the global differential oracle.
-fn run_global_cmd(
-    args: &[String],
-    scenario: &Scenario,
-    job: &rtft::campaign::JobSpec,
-    cores: usize,
-    horizon: rtft_core::time::Duration,
-) -> Result<bool, CliError> {
-    if flag_value(args, "--svg").is_some() {
-        return Err("--svg is not supported with --cores > 1".into());
-    }
-    let (global, oracle) =
-        rtft_campaign::run_single_global(scenario, cores, true).map_err(|e| e.to_string())?;
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+        if let Some(file) = flag_value(args, "--svg") {
+            let cfg = rtft::trace::SvgConfig::window(from, to);
+            std::fs::write(file, rtft::trace::render_svg(&out.log, &set, &cfg))
+                .map_err(|e| format!("write {file}: {e}"))?;
+            println!("SVG chart written to {file}");
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
-    println!("{}", global.outcome.chart(&scenario.set, from, to, cell));
-    println!("{}", global.outcome.verdict);
-    println!(
-        "global over {cores} migrating cores: merged hash {:016x}",
-        global.merged_hash
-    );
-    if !global.outcome.injected_faulty.is_empty() {
-        println!(
-            "injected faults on {:?}; collateral failures: {:?}",
-            global.outcome.injected_faulty,
-            global.outcome.collateral_failures()
-        );
     }
+    let oracle = execution.oracle();
     if let Some(file) = flag_value(args, "--save-trace") {
-        // Core-tagged per-core projections, not the interleaved flat
-        // log (which breaks the strict v1 parser on overlap), with the
-        // merged content hash the header pins.
-        let refs: Vec<(usize, &TraceLog)> = global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-        let capture = rtft::trace::TraceCapture::merged(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            "global",
-            cores,
-            rtft::campaign::treatment_keyword(job.treatment),
-            &refs,
-        );
+        // The capture format: header plus (on several cores)
+        // `c<idx>`-tagged per-core event lines, so the file re-imports.
+        let capture = execution.into_capture(&job)?;
         std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("core-tagged trace written to {file}");
+        let kind = if cores > 1 {
+            "core-tagged trace"
+        } else {
+            "trace"
+        };
+        println!("{kind} written to {file}");
     }
     for v in oracle.violations() {
         println!("ORACLE VIOLATION: {v}");
@@ -1102,21 +1006,7 @@ fn cmd_chart(args: &[String]) -> CliResult {
     let log = parse_capture(&text)
         .map_err(|e| format!("parse {path}: {e}"))?
         .flat_log();
-    let end = log.end().unwrap_or(Instant::EPOCH);
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
-        }
-        None => (Instant::EPOCH, end),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
+    let (from, to, cell) = chart_window(args, log.end().unwrap_or(Instant::EPOCH))?;
     let cfg = ChartConfig::window(from, to).with_cell(cell);
     println!("{}", rtft::trace::render(&log, None, &cfg));
     let stats = TraceStats::from_log(&log, None);
